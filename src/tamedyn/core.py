@@ -23,11 +23,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
+from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn.errors import NotOnTree
-from tamedyn.escape import Bounded, Escaping, Unknown, classify_critical
+from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import Scalar, Val
+from tamedyn.valued_field import INF, Scalar, Val
 
 DEFAULT_DEPTH = 3
 DEFAULT_BUDGET = 64
@@ -163,8 +163,6 @@ class CoreTree:
         for i, b in enumerate(self.boundary):
             if b.vertex is not None:
                 lines.append(f"  b{i} -> v{b.vertex} [style=dotted];")
-            elif self.vertices:
-                pass
         if not self.vertices and len(self.boundary) >= 2:
             lines.append("  b0 -> b1 [style=dotted];")
         lines.append("}")
@@ -210,67 +208,77 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             orbit[(i, n)] = w
     segs = {key: f.segment_dynamics(w) for key, w in orbit.items()}
 
+    # candidate vertex centers: 0, the materialized orbit values and every
+    # critical mark position, each distinct value once; points and orbit
+    # keys refer to them by index, so that each valuation v(x - y) between
+    # two of them is computed at most once
+    pool: list[Scalar] = [zero]
+    slot_of: dict[Scalar, int] = {zero: 0}
+    for w in [*orbit.values(), *(mark.point for mark in f.marks)]:
+        if w not in slot_of:
+            slot_of[w] = len(pool)
+            pool.append(w)
+    slots = {key: slot_of[w] for key, w in orbit.items()}
+    dists: dict[tuple[int, int], Val] = {}
+
+    def dist(x: int, y: int) -> Val:
+        """v(pool[x] - pool[y]); dist(x, 0) is v(pool[x])."""
+        if x == y:
+            return INF
+        key = (x, y) if x < y else (y, x)
+        e = dists.get(key)
+        if e is None:
+            e = dists[key] = (pool[key[1]] - pool[key[0]]).valuation()
+        return e
+
     cuts: dict[tuple[int, int], Fraction] = {}
     if rho is not None:
-        for (i, n), w in orbit.items():
+        for (i, n), s in slots.items():
             m = exits[i]
             if n >= m:
-                cuts[(i, n)] = w.valuation().finite + rho
+                cuts[(i, n)] = dist(s, 0).finite + rho
             else:
-                t = orbit[(i, m)].valuation().finite + rho
+                t = dist(slots[(i, m)], 0).finite + rho
                 for k in range(m - 1, n - 1, -1):
                     t = segs[(i, k)].invert(t)
                 cuts[(i, n)] = t
 
-    top_exp = min(
-        w.valuation().finite for w in orbit.values() if not w.valuation().is_infinite
-    )
+    top_exp = min(dist(s, 0).finite for s in slots.values() if s != 0)
 
-    def on_tree(a: Scalar, q: Fraction) -> bool:
+    def on_tree(a: int, q: Fraction) -> bool:
         if q < top_exp:
             return False
-        if q <= base and a.valuation() >= Val(q):
+        vq = Val(q)
+        if q <= base and dist(a, 0) >= vq:
             return True
-        for key, w in orbit.items():
-            if (w - a).valuation() >= Val(q):
+        for key, s in slots.items():
+            if dist(s, a) >= vq:
                 cut = cuts.get(key)
                 if cut is None or q < cut:
                     return True
         return False
 
-    # candidate vertices: base point plus all pairwise joins of the axis,
-    # the materialized orbit values, and every critical mark position
-    pool: list[Scalar] = [zero]
-    for w in orbit.values():
-        if all(w != u for u in pool):
-            pool.append(w)
-    for mark in f.marks:
-        if all(mark.point != u for u in pool):
-            pool.append(mark.point)
+    points: list[tuple[int, Fraction]] = []
 
-    points: list[tuple[Scalar, Fraction]] = []
-
-    def add_point(a: Scalar, q: Fraction) -> bool:
+    def add_point(a: int, q: Fraction) -> bool:
         if not on_tree(a, q):
             return False
+        vq = Val(q)
         for b, r in points:
-            if r == q and (a - b).valuation() >= Val(q):
+            if r == q and dist(a, b) >= vq:
                 return False
         points.append((a, q))
         return True
 
-    add_point(zero, base)
-    for idx, a in enumerate(pool):
-        for b in pool[idx + 1:]:
-            e = (a - b).valuation()
-            if not e.is_infinite:
-                add_point(a, e.finite)
-
-    def below_base(a: Scalar, q: Fraction) -> bool:
-        return min(a.valuation(), Val(q)) >= Val(base)
+    # the base point plus all pairwise joins of the pool
+    add_point(0, base)
+    for a in range(len(pool)):
+        for b in range(a + 1, len(pool)):
+            add_point(a, dist(a, b).finite)
 
     # closure under the exact ray dynamics, forward and backward;
     # backward steps inside the base disk are counted against `depth`
+    vbase = Val(base)
     pending = [(a, q, 0) for a, q in points]
     guard = 0
     while pending:
@@ -278,37 +286,36 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         if guard > 100_000:
             raise AssertionError("tree closure failed to stabilize")
         a, q, counter = pending.pop()
+        vq = Val(q)
         # forward step along any witness with a materialized successor
-        for (i, n), w in orbit.items():
-            if (w - a).valuation() >= Val(q) and (i, n + 1) in orbit:
+        for (i, n), s in slots.items():
+            if dist(s, a) >= vq and (i, n + 1) in slots:
                 q_img = segs[(i, n)].image_exp(q)
-                a_img = orbit[(i, n + 1)]
+                a_img = slots[(i, n + 1)]
                 if q_img >= top_exp and add_point(a_img, q_img):
                     pending.append((a_img, q_img, 0))
                 break
         # backward steps: preimages on every materialized ray
-        for (j, k), w in orbit.items():
-            if (j, k + 1) not in orbit:
-                continue
-            if (orbit[(j, k + 1)] - a).valuation() >= Val(q):
+        for (j, k), s in slots.items():
+            succ = slots.get((j, k + 1))
+            if succ is not None and dist(succ, a) >= vq:
                 q_pre = segs[(j, k)].invert(q)
-                w_pre = orbit[(j, k)]
-                new_counter = counter + (1 if below_base(w_pre, q_pre) else 0)
-                if new_counter <= depth + 1 and add_point(w_pre, q_pre):
-                    pending.append((w_pre, q_pre, new_counter))
+                below_base = min(dist(s, 0), Val(q_pre)) >= vbase
+                new_counter = counter + (1 if below_base else 0)
+                if new_counter <= depth + 1 and add_point(s, q_pre):
+                    pending.append((s, q_pre, new_counter))
 
     # witnesses and levels
-    raw: list[tuple[Scalar, Fraction, tuple[tuple[int, int], ...]]] = []
+    witnesses: list[tuple[tuple[int, int], ...]] = []
     for a, q in points:
-        wits = tuple(sorted(
-            key for key, w in orbit.items() if (w - a).valuation() >= Val(q)
-        ))
+        vq = Val(q)
+        wits = tuple(sorted(key for key, s in slots.items() if dist(s, a) >= vq))
         if not wits:
             raise AssertionError("vertex without an orbit witness")
-        raw.append((a, q, wits))
+        witnesses.append(wits)
 
-    base_pt = BerkPoint(zero, Val(base))
-    pts = [BerkPoint(a, Val(q)) for a, q, _ in raw]
+    base_pt = BerkPoint(zero, vbase)
+    pts = [BerkPoint(pool[a], Val(q)) for a, q in points]
 
     def seg_count(idx: int) -> int:
         # number of vertices on the closed segment [x, base point]
@@ -323,8 +330,8 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         return total
 
     levels = []
-    for idx, (a, q, _) in enumerate(raw):
-        if min(a.valuation(), Val(q)) < Val(base):
+    for idx, (a, q) in enumerate(points):
+        if min(dist(a, 0), Val(q)) < vbase:
             levels.append(0)
         elif pts[idx] == base_pt:
             levels.append(1)
@@ -335,10 +342,10 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     keep = [i for i, lv in enumerate(levels) if lv <= depth]
     order = sorted(
         keep,
-        key=lambda i: (raw[i][1], raw[i][2][0]),
+        key=lambda i: (points[i][1], witnesses[i][0]),
     )
     vertices = tuple(
-        CoreVertex(pts[i], raw[i][2], levels[i]) for i in order
+        CoreVertex(pts[i], witnesses[i], levels[i]) for i in order
     )
 
     def find_vertex(point: BerkPoint) -> int | None:
@@ -414,21 +421,9 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                     tuple(boundary), tuple(warnings), orbit, cuts)
 
 
-def core_dynamics(tree: CoreTree, x: BerkPoint) -> BerkPoint:
-    return tree.point_dynamics(x)
-
-
 def export_core(tree: CoreTree, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
     if fmt == "dot":
         return tree.to_dot()
     raise ValueError(f"unknown format: {fmt}")
-
-
-def import_core(text: str) -> dict:
-    """Parse an exported tree back to its structural dictionary."""
-    data = json.loads(text)
-    if data.get("schema") != 1:
-        raise ValueError("unsupported schema")
-    return data

@@ -30,7 +30,6 @@ from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.valued_field import Scalar, Val
 
 DEFAULT_BUDGET = 64
-DEFAULT_DESCENT_DEPTH = 32
 MAX_HEIGHT_BITS = 100_000
 
 
@@ -221,13 +220,8 @@ def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -
 
 
 def classify_critical(f: MarkedPolynomial, mark: CriticalMark,
-                      budget: int = DEFAULT_BUDGET,
-                      descent_depth: int = DEFAULT_DESCENT_DEPTH) -> EscapeRecord:
-    """EscapeRecord of a marked critical point under exact iteration.
-
-    descent_depth is accepted for API stability; the bounded-kind
-    resolution is closed-form and does not need it.
-    """
+                      budget: int = DEFAULT_BUDGET) -> EscapeRecord:
+    """EscapeRecord of a marked critical point under exact iteration."""
     f.require_tame()
     status, data, values = _orbit_until_exit(f, mark.point, budget)
     if status == "escape":
@@ -272,8 +266,7 @@ def boettcher_modulus(f: MarkedPolynomial, x, budget: int = DEFAULT_BUDGET) -> V
     raise BudgetExhausted(f"no exit from the base disk within {budget} iterations")
 
 
-def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET,
-                          descent_depth: int = DEFAULT_DESCENT_DEPTH):
+def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET):
     """Per-mark EscapeRecords plus the aggregate classification.
 
     Aggregation order: all escaping -> TameShiftLocus; all bounded at a
@@ -282,7 +275,7 @@ def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET,
     JuliaInAffine; anything unresolved -> Unknown.
     """
     f.require_tame()
-    records = [classify_critical(f, m, budget, descent_depth) for m in f.marks]
+    records = [classify_critical(f, m, budget) for m in f.marks]
     base = f.base_radius_exp
 
     def is_fixed_full_disk(mark, rec):

@@ -121,11 +121,6 @@ class PiecewiseMonomial:
         """The unique q with image_exp(q) = target."""
         return max((target - v) / k for k, v in self.lines)
 
-    def invert_slope(self, target: Fraction) -> int:
-        """Slope of the piece the preimage lies on (from above)."""
-        q = self.invert(target)
-        return min(k for k, v in self.lines if (target - v) / k == q)
-
     def breakpoints(self) -> list[Fraction]:
         """Exponents where the attaining slope changes (envelope corners)."""
         qs = set()
@@ -138,25 +133,6 @@ class PiecewiseMonomial:
             attaining = [k for k, v in self.lines if k * q + v == m]
             if len(attaining) > 1:
                 out.append(q)
-        return out
-
-    def pieces(self) -> list[tuple[Fraction | None, Fraction | None, int, Fraction]]:
-        """(q_lo, q_hi, slope, intercept) from -infinity upward; None = open end."""
-        bps = self.breakpoints()
-        bounds = [None] + bps + [None]
-        out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo is None and hi is None:
-                probe = Fraction(0)
-            elif lo is None:
-                probe = hi - 1
-            elif hi is None:
-                probe = lo + 1
-            else:
-                probe = (lo + hi) / 2
-            m = self.image_exp(probe)
-            k, v = max(((k, v) for k, v in self.lines if k * probe + v == m))
-            out.append((lo, hi, k, v))
         return out
 
 

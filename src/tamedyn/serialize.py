@@ -7,6 +7,7 @@ stable field order so reports are byte-identical across runs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
@@ -17,6 +18,49 @@ from tamedyn.valued_field import INF, PAdic, Scalar, SeriesT, Val
 
 class InputError(TamedynError):
     """Malformed input file or inconsistent backends."""
+
+
+# str() and int() refuse integers of more than sys.get_int_max_str_digits()
+# decimal digits (4300 by default, 640 at the least), and escaped orbit
+# values exceed that at moderate depths: longer integers are converted in
+# halves split at a power of ten.
+_SAFE_DIGITS = 640
+_SAFE_INT = 10 ** _SAFE_DIGITS
+_INT_RATIO = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_str(n: int) -> str:
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n < _SAFE_INT:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of the decimal digits
+    high, low = divmod(n, 10 ** half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
+def _int_from_digits(digits: str) -> int:
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_from_digits(digits[:-half]) * 10 ** half + _int_from_digits(digits[-half:])
+
+
+def _rational_str(q: Fraction) -> str:
+    """str(q) for a rational of any size."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _parse_rational(x) -> Fraction:
+    """Fraction(x), also for strings "a" and "a/b" of integers of any length."""
+    m = _INT_RATIO.fullmatch(x) if isinstance(x, str) else None
+    if m is None:
+        return Fraction(x)
+    sign, num, den = m.groups()
+    value = Fraction(_int_from_digits(num), 1 if den is None else _int_from_digits(den))
+    return -value if sign == "-" else value
 
 
 def val_str(v: Val) -> str:
@@ -53,21 +97,18 @@ def backend_from_json(data: dict):
 
 def scalar_to_json(x: Scalar):
     if x._rat is not None:
-        return str(x._rat)
-    return [[str(e), str(c)] for e, c in x.terms]
+        return _rational_str(x._rat)
+    return [[str(e), _rational_str(c)] for e, c in x.terms]
 
 
 def scalar_from_json(backend, data) -> Scalar:
     try:
         if isinstance(data, (str, int)):
-            value = Fraction(data)
-            if isinstance(backend, PAdic):
-                return backend.scalar(value)
-            return backend.scalar(value)
+            return backend.scalar(_parse_rational(data))
         if isinstance(data, list):
             if isinstance(backend, PAdic):
                 raise InputError("series literal for a p-adic backend")
-            return backend.scalar(terms=[(Fraction(e), Fraction(c)) for e, c in data])
+            return backend.scalar(terms=[(Fraction(e), _parse_rational(c)) for e, c in data])
     except InputError:
         raise
     except (ValueError, TypeError) as exc:

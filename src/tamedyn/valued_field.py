@@ -44,13 +44,31 @@ def _as_fraction(x) -> Fraction:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Largest e with p^e | n, for n != 0."""
+    """Largest e with p^e | n, for n != 0.
+
+    A unit costs one ``n % p``.  Otherwise the cost is O(log e) big-integer
+    divisions, not e: divide n by p, p^2, p^4, ... while each divides; what
+    is left of e is then below the exponent of the first power that did not
+    divide, and its binary digits are taken from the top, one division each.
+    """
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if n % p:
+        return 0
+    powers = [p]  # powers[k] = p^(2^k)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for k in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[k])
+        if r == 0:
+            n = q
+            v += 1 << k
     return v
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import multiplicity
 
 from tamedyn.errors import (
     DivisionByZero,
@@ -10,7 +11,7 @@ from tamedyn.errors import (
     PreconditionViolated,
     RootUnavailable,
 )
-from tamedyn.valued_field import INF, PAdic, SeriesT, Val, nth_root_unit
+from tamedyn.valued_field import INF, PAdic, SeriesT, Val, int_valuation, nth_root_unit
 
 Q3 = PAdic(3)
 QT = SeriesT(precision=8, ram_den=2)
@@ -48,6 +49,50 @@ class TestValuation:
         x = QT.scalar(terms=[(F(1, 2), 2), (1, 1)])
         assert x.valuation() == Val(F(1, 2))
         assert QT.zero.valuation() == INF
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7, 101])
+
+
+class TestIntValuation:
+    """int_valuation against sympy.multiplicity, an independent oracle."""
+
+    @given(p=PRIMES, n=st.integers(min_value=-10**40, max_value=10**40).filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, p, n):
+        assert int_valuation(n, p) == multiplicity(p, abs(n))
+
+    @given(p=PRIMES, e=st.integers(min_value=0, max_value=5000),
+           u=st.integers(min_value=1, max_value=10**30), negative=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_large_valuations(self, p, e, u, negative):
+        n = (-1 if negative else 1) * u * p ** e
+        assert int_valuation(n, p) == multiplicity(p, abs(n)) == e + multiplicity(p, u)
+
+    @given(p=PRIMES, e=st.integers(min_value=0, max_value=13))
+    @settings(deadline=None)
+    def test_powers_of_two_boundaries(self, p, e):
+        # valuations 2^e - 1, 2^e and 2^e + 1 stop the squaring on either side
+        for v in (2 ** e - 1, 2 ** e, 2 ** e + 1):
+            assert int_valuation(p ** v * (p + 1), p) == v
+
+    @given(p=PRIMES, u=st.integers(min_value=-10**12, max_value=10**12))
+    def test_units(self, p, u):
+        n = u * p + 1
+        assert int_valuation(n, p) == 0
+
+    def test_zero_rejected(self):
+        for p in (2, 3, 101):
+            with pytest.raises(ValueError):
+                int_valuation(0, p)
+
+    @given(p=PRIMES, q=st.fractions().filter(bool),
+           scale=st.integers(min_value=-3000, max_value=3000))
+    @settings(deadline=None)
+    def test_fraction_valuation(self, p, q, scale):
+        q = q * F(p) ** scale
+        expected = multiplicity(p, abs(q.numerator)) - multiplicity(p, q.denominator)
+        assert PAdic(p).scalar(q).valuation() == Val(expected)
 
 
 class TestFieldOps:
