@@ -113,7 +113,7 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
                     f"exponent {q} but separate on the target",
                     witness_a=first, witness_b=other, level=sv.level,
                 )
-        ti = target.vertex_index(t_point)
+        ti = target.vertex_at(q, first)
         if ti is None:
             raise WellDefinednessFailure(
                 f"image of source vertex {si} (label {first}, exponent {q}) "

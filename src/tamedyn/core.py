@@ -14,7 +14,14 @@ marks (local degree is constant between consecutive mark joins, which
 keeps every edge at a single degree), and the forward/backward closure
 of these under the exact ray dynamics.  Each vertex carries orbit
 witnesses (mark index, iterate): the vertex is the disk of its radius
-exponent around that orbit value.
+exponent around that orbit value.  Two disks of one radius are equal
+exactly when they share a witness, so a vertex is looked up by its
+radius exponent and any one of its labels.
+
+Each vertex's parent is its closest strict ancestor, the upper end of
+its edge.  Its level counts the vertices on the segment from it to the
+base point: 0 outside the base disk, 1 at the base point, and one more
+than its parent's strictly inside.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare
-from tamedyn.errors import NotOnTree
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import INF, Scalar, Val
@@ -57,7 +63,7 @@ class BoundaryMark:
 
 class CoreTree:
     def __init__(self, f, rho, depth, budget, fwd_depth, vertices, edges,
-                 dynamics, boundary, warnings, orbit, cuts):
+                 boundary, warnings, orbit):
         self.f = f
         self.rho = rho  # Fraction or None (= untrimmed)
         self.depth = depth
@@ -65,54 +71,23 @@ class CoreTree:
         self.fwd_depth = fwd_depth
         self.vertices: tuple[CoreVertex, ...] = vertices
         self.edges: tuple[CoreEdge, ...] = edges
-        self.dynamics: tuple[int | None, ...] = dynamics
+        self.dynamics: tuple[int | None, ...] = ()  # set once vertices can be looked up
         self.boundary: tuple[BoundaryMark, ...] = boundary
         self.warnings: tuple[str, ...] = warnings
         self._orbit = orbit  # (mark, iterate) -> Scalar
-        self._cuts = cuts
+        self._index = {(v.point.radius_exp, label): vi
+                       for vi, v in enumerate(vertices) for label in v.witnesses}
 
     @property
     def base_point(self) -> BerkPoint:
         return self.f.base_point()
 
-    def vertex_index(self, point: BerkPoint) -> int | None:
-        for i, v in enumerate(self.vertices):
-            if v.point == point:
-                return i
-        return None
+    def vertex_at(self, radius_exp: Val, label: tuple[int, int]) -> int | None:
+        """Index of the vertex of this radius exponent around orbit value `label`."""
+        return self._index.get((radius_exp, label))
 
     def orbit_value(self, mark: int, iterate: int) -> Scalar:
         return self._orbit[(mark, iterate)]
-
-    # -- dynamics on arbitrary tree points ------------------------------
-
-    def locate(self, x: BerkPoint):
-        """The carrying ray witness of x, or None if x is off the tree."""
-        if x.radius_exp.is_infinite:
-            return None
-        q = x.radius_exp.finite
-        base = self.f.base_radius_exp
-        for (i, n), w in sorted(self._orbit.items()):
-            if (w - x.center).valuation() >= Val(q):
-                cut = self._cuts.get((i, n))
-                if cut is None or q < cut:
-                    return (i, n)
-        if q <= base and x.center.valuation() >= Val(q):
-            return "axis"
-        return None
-
-    def point_dynamics(self, x: BerkPoint) -> BerkPoint:
-        """Exact image of a point lying on the tree; NotOnTree otherwise."""
-        if self.locate(x) is None:
-            raise NotOnTree(f"{x!r} is not on the recorded tree")
-        img, _ = self.f.image_point(x)
-        if self.locate(img) is None and img.radius_exp.finite >= self._top_exp():
-            raise NotOnTree(f"image {img!r} left the recorded tree")
-        return img
-
-    def _top_exp(self) -> Fraction:
-        return min(v.point.radius_exp.finite for v in self.vertices) if self.vertices \
-            else self.f.base_radius_exp - 1
 
     # -- exports ----------------------------------------------------------
 
@@ -149,33 +124,14 @@ class CoreTree:
             "warnings": list(self.warnings),
         }
 
-    def to_dot(self) -> str:
-        lines = ["digraph core {"]
-        for i, v in enumerate(self.vertices):
-            label = f"({v.point.center!r}, {v.point.radius_exp}, lvl {v.level})"
-            lines.append(f'  v{i} [label="{label}"];')
-        for i, b in enumerate(self.boundary):
-            lines.append(f'  b{i} [label="{b.kind}", shape=plaintext];')
-        for e in self.edges:
-            lines.append(
-                f'  v{e.lower} -> v{e.upper} [label="deg {e.degree}, len {e.length}"];'
-            )
-        for i, b in enumerate(self.boundary):
-            if b.vertex is not None:
-                lines.append(f"  b{i} -> v{b.vertex} [style=dotted];")
-        if not self.vertices and len(self.boundary) >= 2:
-            lines.append("  b0 -> b1 [style=dotted];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def _axis_only_tree(f, rho, depth, budget, warnings) -> CoreTree:
     boundary = (
         BoundaryMark("julia_base", None, "base point bounds the tree from below"),
         BoundaryMark("to_infinity", None, "open axis toward infinity"),
     )
-    return CoreTree(f, rho, depth, budget, max(2, depth), (), (), (), boundary,
-                    tuple(warnings), {}, {})
+    return CoreTree(f, rho, depth, budget, max(2, depth), (), (), boundary,
+                    tuple(warnings), {})
 
 
 def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
@@ -314,30 +270,22 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             raise AssertionError("vertex without an orbit witness")
         witnesses.append(wits)
 
-    base_pt = BerkPoint(zero, vbase)
+    # parents: the closest strict ancestor of a point is the first of the
+    # larger disks, from the smallest up, that contains it
     pts = [BerkPoint(pool[a], Val(q)) for a, q in points]
+    by_radius = sorted(range(len(points)), key=lambda i: points[i][1])
+    parent: list[int | None] = [None] * len(points)
+    levels = [0] * len(points)
+    for pos, idx in enumerate(by_radius):
+        a, q = points[idx]
+        for u in reversed(by_radius[:pos]):
+            if points[u][1] < q and compare(pts[idx], pts[u]) is Comparison.LESS:
+                parent[idx] = u
+                break
+        if min(dist(a, 0), Val(q)) >= vbase:  # level 0 outside the base disk
+            levels[idx] = 1 if q == base else 1 + levels[parent[idx]]
 
-    def seg_count(idx: int) -> int:
-        # number of vertices on the closed segment [x, base point]
-        x = pts[idx]
-        total = 0
-        for u in pts:
-            cu = compare(x, u)
-            if cu not in (Comparison.LESS, Comparison.EQUAL):
-                continue
-            if compare(u, base_pt) in (Comparison.LESS, Comparison.EQUAL):
-                total += 1
-        return total
-
-    levels = []
-    for idx, (a, q) in enumerate(points):
-        if min(dist(a, 0), Val(q)) < vbase:
-            levels.append(0)
-        elif pts[idx] == base_pt:
-            levels.append(1)
-        else:
-            levels.append(seg_count(idx))
-
+    # ancestors have no higher level, so the kept points keep their parents
     depth_truncated = any(lv > depth for lv in levels)
     keep = [i for i, lv in enumerate(levels) if lv <= depth]
     order = sorted(
@@ -347,44 +295,12 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     vertices = tuple(
         CoreVertex(pts[i], witnesses[i], levels[i]) for i in order
     )
+    vertex_of = {i: vi for vi, i in enumerate(order)}
+    parents = [None if parent[i] is None else vertex_of[parent[i]] for i in order]
 
-    def find_vertex(point: BerkPoint) -> int | None:
-        for vi, v in enumerate(vertices):
-            if v.point == point:
-                return vi
-        return None
-
-    # dynamics: image through any witness with materialized successor
-    dynamics: list[int | None] = []
-    for v in vertices:
-        target = None
-        for i, n in v.witnesses:
-            if (i, n + 1) in orbit:
-                q_img = segs[(i, n)].image_exp(v.point.radius_exp.finite)
-                if q_img < top_exp:
-                    target = None
-                else:
-                    target = find_vertex(BerkPoint(orbit[(i, n + 1)], Val(q_img)))
-                    if target is None:
-                        raise AssertionError(
-                            "image of a vertex is missing from the tree"
-                        )
-                break
-        dynamics.append(target)
-
-    # edges: each vertex to its closest strict ancestor
-    parent: list[int | None] = []
-    for vi, v in enumerate(vertices):
-        best = None
-        for ui, u in enumerate(vertices):
-            if ui == vi:
-                continue
-            if compare(v.point, u.point) is Comparison.LESS:
-                if best is None or u.point.radius_exp > vertices[best].point.radius_exp:
-                    best = ui
-        parent.append(best)
+    # edges: each vertex to its parent
     edges = []
-    for vi, pi in enumerate(parent):
+    for vi, pi in enumerate(parents):
         if pi is None:
             continue
         v, u = vertices[vi], vertices[pi]
@@ -392,14 +308,13 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         mid = (v.point.radius_exp.finite + u.point.radius_exp.finite) / 2
         degree = f.local_degree_rh(BerkPoint(v.point.center, Val(mid)))
         edges.append(CoreEdge(vi, pi, degree, length))
-    edges = tuple(sorted(edges, key=lambda e: (e.lower, e.upper)))
 
     # boundary markers
     boundary = []
-    roots = [vi for vi, pi in enumerate(parent) if pi is None]
+    roots = [vi for vi, pi in enumerate(parents) if pi is None]
     if roots:
         boundary.append(BoundaryMark("to_infinity", roots[0], "axis continues upward"))
-    children = {pi for pi in parent if pi is not None}
+    children = {pi for pi in parents if pi is not None}
     for vi, v in enumerate(vertices):
         if vi in children:
             continue
@@ -417,13 +332,27 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     if depth_truncated:
         warnings.append(f"vertices beyond level {depth} were pruned")
 
-    return CoreTree(f, rho, depth, budget, fwd, vertices, edges, tuple(dynamics),
-                    tuple(boundary), tuple(warnings), orbit, cuts)
+    tree = CoreTree(f, rho, depth, budget, fwd, vertices, tuple(edges),
+                    tuple(boundary), tuple(warnings), orbit)
+
+    # dynamics: image through any witness with materialized successor
+    dynamics: list[int | None] = []
+    for v in vertices:
+        target = None
+        for i, n in v.witnesses:
+            if (i, n + 1) in orbit:
+                q_img = segs[(i, n)].image_exp(v.point.radius_exp.finite)
+                if q_img >= top_exp:
+                    target = tree.vertex_at(Val(q_img), (i, n + 1))
+                    if target is None:
+                        raise AssertionError(
+                            "image of a vertex is missing from the tree"
+                        )
+                break
+        dynamics.append(target)
+    tree.dynamics = tuple(dynamics)
+    return tree
 
 
-def export_core(tree: CoreTree, fmt: str = "json") -> str:
-    if fmt == "json":
-        return json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
-    if fmt == "dot":
-        return tree.to_dot()
-    raise ValueError(f"unknown format: {fmt}")
+def export_core(tree: CoreTree) -> str:
+    return json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -65,10 +65,6 @@ class WellDefinednessFailure(TamedynError):
         self.level = level
 
 
-class NotOnTree(TamedynError):
-    pass
-
-
 class HypothesisViolated(TamedynError):
     def __init__(self, message, clause=None):
         super().__init__(message)

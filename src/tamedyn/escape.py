@@ -6,15 +6,16 @@ structurally, from an exact cycle of orbit values; the kind of the
 bounded component is then resolved by pulling the base point back along
 the orbit with exact piecewise-linear inversions.
 
-For an eventually periodic orbit the pullback over one period is a
-single convex increasing piecewise-linear map W (a max of finitely many
-affine maps with slopes 1/k, computed exactly by composing the inverted
-ray maps).  Iterating W from the base exponent is decidable in closed
-form: on each affine piece the iteration either fixes, converges to the
-piece's affine fixed point (geometric sum, exact), or crosses into the
-next piece after an exactly computed number of steps.  A finite limit
-exponent means the critical point sits in a closed-disk component of
-that diameter; divergence means the component is the point itself.
+For an eventually periodic orbit the ray maps of one period compose to
+a single exact ray map F (a min of lines k*q + v), and the pullback over
+the period is its inverse W = F^-1, a convex increasing piecewise-linear
+map (the max of the lines (q - v)/k).  Iterating W from the base
+exponent is decidable in closed form: on each affine piece the
+iteration either fixes, converges to the piece's affine fixed point
+(geometric sum, exact), or crosses into the next piece after an exactly
+computed number of steps.  A finite limit exponent means the critical
+point sits in a closed-disk component of that diameter; divergence
+means the component is the point itself.
 """
 
 from __future__ import annotations
@@ -72,82 +73,22 @@ def _height_bits(x: Scalar) -> int:
     return total
 
 
-# -- convex increasing piecewise-linear maps (max of affine) ------------
-
-
-class MaxAffine:
-    """max_i (s_i x + b_i) with positive rational slopes; exact."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self, lines):
-        # group by slope, keep maximal intercept, then prune to the
-        # upper envelope
-        by_slope: dict[Fraction, Fraction] = {}
-        for s, b in lines:
-            if s not in by_slope or b > by_slope[s]:
-                by_slope[s] = b
-        cand = sorted(by_slope.items())
-        hull: list[tuple[Fraction, Fraction]] = []
-        xs: list[Fraction] = []
-        for s, b in cand:
-            while hull:
-                s0, b0 = hull[-1]
-                x = Fraction(b0 - b, s - s0)  # crossing with last hull line
-                if xs and x <= xs[-1]:
-                    hull.pop()
-                    xs.pop()
-                else:
-                    hull.append((s, b))
-                    xs.append(x)
-                    break
-            else:
-                hull.append((s, b))
-        self.lines = tuple(hull)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return max(s * x + b for s, b in self.lines)
-
-    def compose(self, inner: "MaxAffine") -> "MaxAffine":
-        """self(inner(x)); valid since all slopes are positive."""
-        lines = []
-        for s1, b1 in self.lines:
-            for s2, b2 in inner.lines:
-                lines.append((s1 * s2, s1 * b2 + b1))
-        return MaxAffine(lines)
-
-    def pieces(self):
-        """(lo, hi, slope, intercept) from left; None bounds are infinite."""
-        lines = self.lines
-        if len(lines) == 1:
-            s, b = lines[0]
-            return [(None, None, s, b)]
-        bounds: list[Fraction] = []
-        for (s0, b0), (s1, b1) in zip(lines, lines[1:]):
-            bounds.append(Fraction(b0 - b1, s1 - s0))
-        out = []
-        for i, (s, b) in enumerate(lines):
-            lo = bounds[i - 1] if i > 0 else None
-            hi = bounds[i] if i < len(bounds) else None
-            out.append((lo, hi, s, b))
-        return out
-
-
-def _pullback_of(seg: PiecewiseMonomial) -> MaxAffine:
-    """Inverse of the ray map as a max-affine form."""
-    return MaxAffine([(Fraction(1, k), Fraction(-v, k)) for k, v in seg.lines])
-
-
-def iterate_pl_to_limit(W: MaxAffine, start: Fraction):
-    """Limit of r -> W(r) from start, requiring W(start) >= start.
+def iterate_pl_to_limit(F: PiecewiseMonomial, start: Fraction):
+    """Limit of r -> F.invert(r) from start, requiring F.invert(start) >= start.
 
     Returns ("fixed", limit) or ("diverges", None).  Exact and total:
     each affine piece is resolved in closed form.
     """
-    pieces = W.pieces()
+    # the inverse is the max of the lines r -> (r - v)/k; from the left
+    # its pieces are F's lines from the largest slope down, split at the
+    # images of F's corners
+    inverse = [(Fraction(1, k), Fraction(-v, k)) for k, v in reversed(F.lines)]
+    bounds = [F.image_exp(q) for q in F.breakpoints()]
+    pieces = [(bounds[i - 1] if i > 0 else None, bounds[i] if i < len(bounds) else None, s, b)
+              for i, (s, b) in enumerate(inverse)]
     r = start
     for _ in range(len(pieces) + 2):
-        w = W(r)
+        w = F.invert(r)
         if w == r:
             return "fixed", r
         if w < r:
@@ -204,12 +145,12 @@ def _orbit_until_exit(f: MarkedPolynomial, start: Scalar, budget: int):
 def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -> Bounded:
     base = f.base_radius_exp
     maps = [f.segment_dynamics(values[j]) for j in range(preperiod + period)]
-    # pullback of one period at orbit position `preperiod`:
-    # apply the inverses of maps preperiod+period-1, ..., preperiod
-    W = _pullback_of(maps[preperiod])
+    # the ray map of one period from orbit position `preperiod`; the
+    # pullback iterated below is its inverse
+    F = maps[preperiod]
     for j in range(preperiod + 1, preperiod + period):
-        W = W.compose(_pullback_of(maps[j]))
-    status, limit = iterate_pl_to_limit(W, base)
+        F = maps[j].compose(F)
+    status, limit = iterate_pl_to_limit(F, base)
     if status == "diverges":
         return Bounded("point", preperiod=preperiod, period=period)
     # pull the cycle limit back through the preperiod

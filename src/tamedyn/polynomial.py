@@ -93,17 +93,31 @@ class PiecewiseMonomial:
     the lines k*q + v(f_k(c)) over the nonvanishing Taylor coefficients,
     a strictly increasing concave piecewise-linear function.  The local
     degree at x_{c,q} is the largest slope attaining the minimum.
+
+    Only the lines of the lower envelope are kept, sorted by slope, each
+    one attaining the minimum on an interval: line i on
+    [corner(i, i+1), corner(i-1, i)].  A line that attains it at one
+    point at most changes neither F, nor the largest slope attaining
+    it, nor the inverse.
     """
 
-    __slots__ = ("center", "image_center", "lines")
+    __slots__ = ("lines",)
 
-    def __init__(self, center: Scalar, image_center: Scalar,
-                 lines: tuple[tuple[int, Fraction], ...]):
+    def __init__(self, lines):
         if not lines:
             raise ValueError("no nonvanishing Taylor coefficients")
-        self.center = center
-        self.image_center = image_center
-        self.lines = lines  # sorted by slope k, each (k, v_k)
+        lowest: dict[int, Fraction] = {}
+        for k, v in lines:
+            if k not in lowest or v < lowest[k]:
+                lowest[k] = v
+        hull: list[tuple[int, Fraction]] = []
+        for k, v in sorted(lowest.items()):
+            # the last line keeps an interval of its own only if the new
+            # one crosses it below the corner where it meets the line before
+            while len(hull) >= 2 and _corner(hull[-1], (k, v)) >= _corner(hull[-2], hull[-1]):
+                hull.pop()
+            hull.append((k, v))
+        self.lines = tuple(hull)
 
     def image_exp(self, q: Fraction) -> Fraction:
         return min(k * q + v for k, v in self.lines)
@@ -122,18 +136,18 @@ class PiecewiseMonomial:
         return max((target - v) / k for k, v in self.lines)
 
     def breakpoints(self) -> list[Fraction]:
-        """Exponents where the attaining slope changes (envelope corners)."""
-        qs = set()
-        for i, (k1, v1) in enumerate(self.lines):
-            for k2, v2 in self.lines[i + 1:]:
-                qs.add(Fraction(v1 - v2, k2 - k1))
-        out = []
-        for q in sorted(qs):
-            m = self.image_exp(q)
-            attaining = [k for k, v in self.lines if k * q + v == m]
-            if len(attaining) > 1:
-                out.append(q)
-        return out
+        """Exponents where the attaining slope changes (envelope corners), ascending."""
+        return [_corner(a, b) for a, b in zip(self.lines, self.lines[1:])][::-1]
+
+    def compose(self, inner: "PiecewiseMonomial") -> "PiecewiseMonomial":
+        """q -> self(inner(q)); a min of lines since every slope is positive."""
+        return PiecewiseMonomial([(k1 * k2, k1 * v2 + v1)
+                                  for k1, v1 in self.lines for k2, v2 in inner.lines])
+
+
+def _corner(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> Fraction:
+    """The exponent where the lines a and b (of distinct slopes) cross."""
+    return Fraction(a[1] - b[1], b[0] - a[0])
 
 
 class MarkedPolynomial:
@@ -351,4 +365,4 @@ class MarkedPolynomial:
             v = taylor[k].valuation()
             if not v.is_infinite:
                 lines.append((k, v.finite))
-        return PiecewiseMonomial(c, taylor[0], tuple(lines))
+        return PiecewiseMonomial(lines)

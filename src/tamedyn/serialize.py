@@ -20,6 +20,10 @@ class InputError(TamedynError):
     """Malformed input file or inconsistent backends."""
 
 
+# what int(), Fraction() and indexing raise on a malformed document
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
 # str() and int() refuse integers of more than sys.get_int_max_str_digits()
 # decimal digits (4300 by default, 640 at the least), and escaped orbit
 # values exceed that at moderate depths: longer integers are converted in
@@ -90,7 +94,7 @@ def backend_from_json(data: dict):
             return PAdic(int(data["p"]))
         if kind == "series":
             return SeriesT(Fraction(data["precision"]), int(data.get("ram_den", 1)))
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"bad backend spec: {exc}") from exc
     raise InputError(f"unknown backend kind: {kind!r}")
 
@@ -111,7 +115,7 @@ def scalar_from_json(backend, data) -> Scalar:
             return backend.scalar(terms=[(Fraction(e), _parse_rational(c)) for e, c in data])
     except InputError:
         raise
-    except (ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"bad scalar literal {data!r}: {exc}") from exc
     raise InputError(f"bad scalar literal {data!r}")
 
@@ -121,9 +125,12 @@ def point_to_json(x: BerkPoint) -> dict:
 
 
 def point_from_json(backend, data) -> BerkPoint:
-    return BerkPoint(
-        scalar_from_json(backend, data["center"]), val_from_str(data["radius_exp"])
-    )
+    try:
+        return BerkPoint(
+            scalar_from_json(backend, data["center"]), val_from_str(data["radius_exp"])
+        )
+    except _MALFORMED as exc:
+        raise InputError(f"bad point {data!r}: {exc}") from exc
 
 
 def polynomial_to_json(f: MarkedPolynomial) -> dict:
@@ -139,6 +146,8 @@ def polynomial_to_json(f: MarkedPolynomial) -> dict:
 
 def polynomial_from_json(data: dict) -> MarkedPolynomial:
     """Accepts {"backend", "marks", "b"} or {"backend", "coeffs", "marks"}."""
+    if not isinstance(data, dict):
+        raise InputError(f"a polynomial is a JSON object, not {type(data).__name__}")
     backend = backend_from_json(data.get("backend", {}))
     try:
         marks = [
@@ -147,22 +156,26 @@ def polynomial_from_json(data: dict) -> MarkedPolynomial:
         ]
         if "coeffs" in data:
             coeffs = [scalar_from_json(backend, c) for c in data["coeffs"]]
-            f = MarkedPolynomial.from_coefficients(coeffs, marks)
         else:
             b = scalar_from_json(backend, data["b"])
-            f = MarkedPolynomial.from_critical_data(marks, b)
-    except KeyError as exc:
-        raise InputError(f"missing polynomial field: {exc}") from exc
-    if "degree" in data and int(data["degree"]) != f.degree:
-        raise InputError(
-            f"declared degree {data['degree']} does not match computed {f.degree}"
-        )
+        degree = int(data["degree"]) if "degree" in data else None
+    except _MALFORMED as exc:
+        raise InputError(f"bad polynomial field: {type(exc).__name__}: {exc}") from exc
+    if "coeffs" in data:
+        f = MarkedPolynomial.from_coefficients(coeffs, marks)
+    else:
+        f = MarkedPolynomial.from_critical_data(marks, b)
+    if degree is not None and degree != f.degree:
+        raise InputError(f"declared degree {degree} does not match computed {f.degree}")
     return f
 
 
 def raw_coefficients_from_json(data: dict) -> list[Scalar]:
     """Coefficient list for operations that need no critical data."""
-    backend = backend_from_json(data.get("backend", {}))
-    if "coeffs" not in data:
+    if not isinstance(data, dict) or "coeffs" not in data:
         raise InputError("raw polynomial input needs a coeffs list")
-    return [scalar_from_json(backend, c) for c in data["coeffs"]]
+    backend = backend_from_json(data.get("backend", {}))
+    try:
+        return [scalar_from_json(backend, c) for c in data["coeffs"]]
+    except _MALFORMED as exc:
+        raise InputError(f"bad coeffs list: {exc}") from exc

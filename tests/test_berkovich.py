@@ -116,7 +116,7 @@ def points(draw):
 
 class TestOrderJoinConsistency:
     @given(x=points(), y=points())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_less_iff_join_is_upper(self, x, y):
         rel = compare(x, y)
         j = join(x, y)
@@ -126,14 +126,14 @@ class TestOrderJoinConsistency:
             assert rel is Comparison.LESS
 
     @given(x=points(), y=points(), z=points())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_join_laws(self, x, y, z):
         assert join(x, join(y, z)) == join(join(x, y), z)
         assert join(x, y) == join(y, x)
         assert join(x, x) == x
 
     @given(x=points(), y=points(), z=points())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_triangle_inequality(self, x, y, z):
         assert hyp_dist(x, z) <= hyp_dist(x, y) + hyp_dist(y, z)
 
@@ -142,7 +142,7 @@ class TestOrderJoinConsistency:
         assert hyp_dist(x, z) == hyp_dist(x, y) + hyp_dist(y, z)
 
     @given(b1=small_fractions, b2=small_fractions)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_direction_equivalence(self, b1, b2):
         x = GAUSS
         s1, s2 = Q3.scalar(b1), Q3.scalar(b2)

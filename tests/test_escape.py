@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import BudgetExhausted, NotInBasin
@@ -12,9 +14,10 @@ from tamedyn.escape import (
     boettcher_modulus,
     classification_report,
     classify_critical,
+    iterate_pl_to_limit,
     julia_in_affine,
 )
-from tamedyn.polynomial import MarkedPolynomial
+from tamedyn.polynomial import MarkedPolynomial, PiecewiseMonomial
 from tamedyn.valued_field import PAdic, SeriesT, Val
 
 Q3 = PAdic(3)
@@ -190,3 +193,30 @@ class TestClassificationSuite:
         cls, records = classification_report(quad(-1, 3))
         assert cls is Classification.TAME_SHIFT_LOCUS
         assert records == [Escaping(1)]
+
+
+class TestPullbackIteration:
+    @settings(max_examples=50)
+    @given(
+        lines=st.lists(st.tuples(st.integers(min_value=1, max_value=5),
+                                 st.fractions(min_value=-12, max_value=12, max_denominator=4)),
+                       min_size=1, max_size=5),
+        start=st.fractions(min_value=-20, max_value=20, max_denominator=3),
+    )
+    def test_agrees_with_naive_iteration(self, lines, start):
+        seg = PiecewiseMonomial(lines)
+        assume(seg.invert(start) >= start)
+        status, limit = iterate_pl_to_limit(seg, start)
+        rs = [start]
+        for _ in range(40):
+            rs.append(seg.invert(rs[-1]))
+        assert rs == sorted(rs)
+        settled = next((r for r, s in zip(rs, rs[1:]) if r == s), None)
+        if settled is not None:
+            assert (status, limit) == ("fixed", settled)
+        elif status == "fixed":
+            # approached from below, never reached
+            assert seg.invert(limit) == limit and rs[-1] < limit
+        else:
+            # only a slope-1 inverse piece to the right moves without bound
+            assert limit is None and seg.lines[0][0] == 1

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.polynomial import CriticalMark, MarkedPolynomial
+from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.valued_field import INF, PAdic, SeriesT, Val
 
 Q3 = PAdic(3)
@@ -200,6 +202,65 @@ class TestSegmentDynamics:
             img, deg = f.image_point(BerkPoint(Q5.scalar(1), q))
             assert img.radius_exp == Val(seg.image_exp(q))
             assert deg == seg.degree_at(q)
+
+
+EXPONENTS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+LINES = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6),
+              st.fractions(min_value=-20, max_value=20, max_denominator=6)),
+    min_size=1, max_size=6,
+)
+
+
+def _brute_min(lines, q):
+    return min(k * q + v for k, v in lines)
+
+
+class TestRayMapAgainstAllLines:
+    """The envelope kept by PiecewiseMonomial against a min over every line."""
+
+    @settings(max_examples=50)
+    @given(lines=LINES)
+    def test_keeps_each_slope_of_the_envelope_once(self, lines):
+        kept = PiecewiseMonomial(lines).lines
+        slopes = [k for k, _ in kept]
+        assert slopes == sorted(set(slopes))
+        assert set(kept) <= {(k, min(v for k2, v in lines if k2 == k)) for k, _ in lines}
+
+    @settings(max_examples=50)
+    @given(lines=LINES, q=EXPONENTS)
+    def test_image_and_degree(self, lines, q):
+        seg = PiecewiseMonomial(lines)
+        m = _brute_min(lines, q)
+        assert seg.image_exp(q) == m
+        assert seg.degree_at(q) == max(k for k, v in lines if k * q + v == m)
+
+    @settings(max_examples=50)
+    @given(lines=LINES, t=EXPONENTS)
+    def test_invert(self, lines, t):
+        seg = PiecewiseMonomial(lines)
+        q = seg.invert(t)
+        assert q == max((t - v) / k for k, v in lines)
+        assert _brute_min(lines, q) == t
+
+    @settings(max_examples=50)
+    @given(lines=LINES)
+    def test_breakpoints(self, lines):
+        crossings = {F(v1 - v2, k2 - k1) for k1, v1 in lines for k2, v2 in lines if k1 != k2}
+        corners = sorted(
+            q for q in crossings
+            if len({k for k, v in lines if k * q + v == _brute_min(lines, q)}) > 1
+        )
+        assert PiecewiseMonomial(lines).breakpoints() == corners
+
+    @settings(max_examples=50)
+    @given(outer=LINES, inner=LINES, q=EXPONENTS)
+    def test_compose(self, outer, inner, q):
+        f, g = PiecewiseMonomial(outer), PiecewiseMonomial(inner)
+        h = f.compose(g)
+        assert h.image_exp(q) == f.image_exp(g.image_exp(q))
+        assert h.degree_at(q) == f.degree_at(g.image_exp(q)) * g.degree_at(q)
+        assert h.invert(q) == g.invert(f.invert(q))
 
 
 class TestExpansionLaw:

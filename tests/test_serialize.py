@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamedyn.core import build_core, export_core
+from tamedyn.errors import InvalidMarks
 from tamedyn.serialize import (
     InputError,
+    backend_from_json,
+    point_from_json,
     polynomial_from_json,
+    raw_coefficients_from_json,
     scalar_from_json,
     scalar_to_json,
 )
@@ -35,7 +39,7 @@ class TestLongIntegers:
 
     @given(num=st.integers(min_value=4000, max_value=30000),
            den=st.integers(min_value=0, max_value=30000), negative=st.booleans())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_round_trip_past_the_digit_limit(self, num, den, negative):
         q = Fraction(7 ** num + 3, 5 ** den) * (-1 if negative else 1)
         text = scalar_to_json(Q5.scalar(q))
@@ -80,3 +84,40 @@ class TestLongIntegers:
         assert max(len(v["center"]) for v in vertices) > 4300
         for v, exported in zip(tree.vertices, vertices):
             assert scalar_from_json(f.backend, exported["center"]) == v.point.center
+
+
+P5 = {"kind": "padic", "p": 5}
+
+
+def _cubic(**fields):
+    return {"backend": P5, "marks": [{"c": "1/5", "mult": 2}, {"c": "-1/5", "mult": 2}],
+            "b": "1/25", **fields}
+
+
+# each once let a ZeroDivisionError, ValueError, TypeError or AttributeError out
+MALFORMED = {
+    "zero denominator": lambda: scalar_from_json(Q5, "1/0"),
+    "zero denominator in a series exponent": lambda: scalar_from_json(QT, [["1/0", "1"]]),
+    "zero denominator in a series precision":
+        lambda: backend_from_json({"kind": "series", "precision": "1/0"}),
+    "mult not an integer": lambda: polynomial_from_json(
+        _cubic(marks=[{"c": "1/5", "mult": "x"}, {"c": "-1/5", "mult": 2}])),
+    "degree not an integer": lambda: polynomial_from_json(_cubic(degree="z")),
+    "mark not an object": lambda: polynomial_from_json(_cubic(marks=["1/5"])),
+    "marks not a list": lambda: polynomial_from_json(_cubic(marks=5)),
+    "coeffs not a list": lambda: raw_coefficients_from_json({"backend": P5, "coeffs": 5}),
+    "polynomial not an object": lambda: polynomial_from_json([]),
+    "radius exponent not a number":
+        lambda: point_from_json(Q5, {"center": "0", "radius_exp": "x"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_input_error(case):
+    with pytest.raises(InputError):
+        MALFORMED[case]()
+
+
+def test_domain_errors_keep_their_class():
+    with pytest.raises(InvalidMarks):
+        polynomial_from_json(_cubic(marks=[{"c": "1/5", "mult": 1}]))

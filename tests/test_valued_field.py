@@ -58,19 +58,18 @@ class TestIntValuation:
     """int_valuation against sympy.multiplicity, an independent oracle."""
 
     @given(p=PRIMES, n=st.integers(min_value=-10**40, max_value=10**40).filter(bool))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_oracle(self, p, n):
         assert int_valuation(n, p) == multiplicity(p, abs(n))
 
     @given(p=PRIMES, e=st.integers(min_value=0, max_value=5000),
            u=st.integers(min_value=1, max_value=10**30), negative=st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_large_valuations(self, p, e, u, negative):
         n = (-1 if negative else 1) * u * p ** e
         assert int_valuation(n, p) == multiplicity(p, abs(n)) == e + multiplicity(p, u)
 
     @given(p=PRIMES, e=st.integers(min_value=0, max_value=13))
-    @settings(deadline=None)
     def test_powers_of_two_boundaries(self, p, e):
         # valuations 2^e - 1, 2^e and 2^e + 1 stop the squaring on either side
         for v in (2 ** e - 1, 2 ** e, 2 ** e + 1):
@@ -88,7 +87,6 @@ class TestIntValuation:
 
     @given(p=PRIMES, q=st.fractions().filter(bool),
            scale=st.integers(min_value=-3000, max_value=3000))
-    @settings(deadline=None)
     def test_fraction_valuation(self, p, q, scale):
         q = q * F(p) ** scale
         expected = multiplicity(p, abs(q.numerator)) - multiplicity(p, q.denominator)
@@ -137,7 +135,7 @@ class TestUltrametric:
         a=st.fractions(max_denominator=50),
         b=st.fractions(max_denominator=50),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_padic_value_axioms(self, a, b):
         x, y = Q3.scalar(a), Q3.scalar(b)
         vx, vy = x.valuation(), y.valuation()
@@ -153,7 +151,7 @@ class TestUltrametric:
         e2=st.integers(min_value=0, max_value=4),
         c2=st.fractions(max_denominator=10),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_series_value_axioms(self, e1, c1, e2, c2):
         qt = SeriesT(precision=12)
         x = qt.scalar(terms=[(e1, c1), (e1 + 1, 1)])
