@@ -67,6 +67,13 @@ def _parse_rational(x) -> Fraction:
     return -value if sign == "-" else value
 
 
+def _json_int(value) -> int:
+    """A JSON integer field: an int, not true/false, a float or a string."""
+    if type(value) is not int:
+        raise InputError(f"expected a JSON integer, not {value!r}")
+    return value
+
+
 def val_str(v: Val) -> str:
     return "inf" if v.is_infinite else str(v.finite)
 
@@ -91,9 +98,9 @@ def backend_from_json(data: dict):
     try:
         kind = data["kind"]
         if kind == "padic":
-            return PAdic(int(data["p"]))
+            return PAdic(_json_int(data["p"]))
         if kind == "series":
-            return SeriesT(Fraction(data["precision"]), int(data.get("ram_den", 1)))
+            return SeriesT(Fraction(data["precision"]), _json_int(data.get("ram_den", 1)))
     except _MALFORMED as exc:
         raise InputError(f"bad backend spec: {exc}") from exc
     raise InputError(f"unknown backend kind: {kind!r}")
@@ -151,17 +158,19 @@ def polynomial_from_json(data: dict) -> MarkedPolynomial:
     backend = backend_from_json(data.get("backend", {}))
     try:
         marks = [
-            CriticalMark(scalar_from_json(backend, m["c"]), int(m["mult"]))
+            CriticalMark(scalar_from_json(backend, m["c"]), _json_int(m["mult"]))
             for m in data["marks"]
         ]
         if "coeffs" in data:
             coeffs = [scalar_from_json(backend, c) for c in data["coeffs"]]
         else:
             b = scalar_from_json(backend, data["b"])
-        degree = int(data["degree"]) if "degree" in data else None
+        degree = _json_int(data["degree"]) if "degree" in data else None
     except _MALFORMED as exc:
         raise InputError(f"bad polynomial field: {type(exc).__name__}: {exc}") from exc
     if "coeffs" in data:
+        if not coeffs:
+            raise InputError("empty coeffs list")
         f = MarkedPolynomial.from_coefficients(coeffs, marks)
     else:
         f = MarkedPolynomial.from_critical_data(marks, b)
@@ -176,6 +185,9 @@ def raw_coefficients_from_json(data: dict) -> list[Scalar]:
         raise InputError("raw polynomial input needs a coeffs list")
     backend = backend_from_json(data.get("backend", {}))
     try:
-        return [scalar_from_json(backend, c) for c in data["coeffs"]]
+        coeffs = [scalar_from_json(backend, c) for c in data["coeffs"]]
     except _MALFORMED as exc:
         raise InputError(f"bad coeffs list: {exc}") from exc
+    if not coeffs:
+        raise InputError("empty coeffs list")
+    return coeffs

@@ -9,7 +9,9 @@ Backends:
   rationals whose denominator divides ``ram_den``; every result is
   truncated to exponents strictly below ``precision`` (arithmetic modulo
   the truncation ideal).  This models a residue-characteristic-0 field,
-  so every polynomial over it is tame.
+  so every polynomial over it is tame.  A product is one big-integer
+  multiplication (Kronecker substitution, see ``_series_product``) and a
+  sum one merge of the two sorted term tuples.
 
 Absolute values are never materialized: |x| = base^(-v(x)) is carried
 around as the exact rational exponent v(x), wrapped in :class:`Val`.
@@ -20,6 +22,7 @@ valuation of 0.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -285,7 +288,10 @@ class Scalar:
 
     Immutable.  PAdic scalars hold a Fraction; SeriesT scalars hold a
     sorted tuple of (exponent, coefficient) pairs with nonzero rational
-    coefficients and exponents strictly below the cutoff.
+    coefficients and exponents strictly below the cutoff.  Series
+    arithmetic keeps the tuple sorted without sorting: ``+`` merges the two
+    tuples and ``*`` reads the product's coefficients in exponent order from
+    one big-integer product.
     """
 
     __slots__ = ("backend", "_rat", "_terms")
@@ -357,11 +363,7 @@ class Scalar:
         self._require_same_backend(other)
         if self._rat is not None:
             return Scalar(self.backend, rational=self._rat + other._rat)
-        acc = dict(self._terms)
-        for e, c in other._terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        tup = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        return Scalar(self.backend, terms=tup)
+        return Scalar(self.backend, terms=_merge_sum(self._terms, other._terms))
 
     def __neg__(self) -> "Scalar":
         if self._rat is not None:
@@ -377,21 +379,7 @@ class Scalar:
             return Scalar(self.backend, rational=self._rat * other._rat)
         if not self._terms or not other._terms:
             return self.backend.zero
-        cutoff = self.backend.precision
-        acc: dict[Fraction, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = e1 + e2
-                if e < cutoff:
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        tup = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        if not tup:
-            # Nonzero operands in a domain cannot multiply to zero: the
-            # whole result fell past the cutoff.
-            raise PrecisionExhausted(
-                "product has no representable term below the cutoff"
-            )
-        return Scalar(self.backend, terms=tup)
+        return Scalar(self.backend, terms=_series_product(self.backend, self._terms, other._terms))
 
     def _series_inverse(self) -> "Scalar":
         e0, c0 = self._terms[0]
@@ -470,6 +458,101 @@ class Scalar:
         m = p ** exponent
         value = q.numerator * pow(q.denominator, -1, m) % m
         return Scalar(self.backend, rational=Fraction(value))
+
+
+def _merge_sum(a: tuple, b: tuple) -> tuple:
+    """The sum of two sorted series term tuples, merged in one pass."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea < eb:
+            out.append(a[i])
+            i += 1
+        elif eb < ea:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _integral(terms: tuple, ram_den: int, k0: int, slots: int):
+    """The terms c*t^e of a series with index i = e*ram_den - k0 below `slots`,
+    as (indices, numerators n, common denominator D) with c = n/D."""
+    indices, coeffs = [], []
+    for e, c in terms:
+        i = e.numerator * (ram_den // e.denominator) - k0
+        if i >= slots:
+            break
+        indices.append(i)
+        coeffs.append(c)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return indices, [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _pack(indices: list, nums: list, nbytes: int) -> int:
+    """sum n * 2^(8*nbytes*i): the numerators in slots of `nbytes` bytes."""
+    pos = bytearray(nbytes * (indices[-1] + 1))
+    neg = bytearray(len(pos))
+    for i, n in zip(indices, nums):
+        if n > 0:
+            pos[i * nbytes:(i + 1) * nbytes] = n.to_bytes(nbytes, "little")
+        else:
+            neg[i * nbytes:(i + 1) * nbytes] = (-n).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _series_product(backend: SeriesT, a: tuple, b: tuple) -> tuple:
+    """The terms of a*b below the cutoff, for nonzero series a and b.
+
+    Kronecker substitution: with r = ram_den, each operand becomes an
+    integer polynomial in X = t^(1/r) (exponents shifted by the lowest, the
+    coefficients over one common denominator) and is packed into one big
+    int by X = 2^w; a single big-int multiplication then gives every
+    coefficient of the product as one w-bit slot.  Each coefficient is a
+    sum of at most min(len a, len b) products n_a * n_b, so with w >=
+    bits(max |n_a|) + bits(max |n_b|) + bits(min(len a, len b)) + 1 it lies
+    strictly inside +-2^(w-1) and its slot holds it as a balanced signed
+    digit.  Truncation at the cutoff is reading only the slots below it.
+    """
+    r = backend.ram_den
+    ka0 = a[0][0].numerator * (r // a[0][0].denominator)
+    kb0 = b[0][0].numerator * (r // b[0][0].denominator)
+    k0 = ka0 + kb0
+    slots = math.ceil(backend.precision * r) - k0
+    if slots <= 0:
+        # The lowest term of a product of nonzero series is nonzero, so
+        # the product is zero only when all of it fell past the cutoff.
+        raise PrecisionExhausted("product has no representable term below the cutoff")
+    ia, na, da = _integral(a, r, ka0, slots)
+    ib, nb, db = _integral(b, r, kb0, slots)
+    width = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
+             + min(len(na), len(nb)).bit_length() + 1)
+    nbytes = (width + 7) // 8
+    slots = min(slots, ia[-1] + ib[-1] + 1)  # the product has no higher term
+    product = _pack(ia, na, nbytes) * _pack(ib, nb, nbytes)
+    # the low slots of the product, in two's complement when it is negative
+    raw = (product & ((1 << (8 * nbytes * slots)) - 1)).to_bytes(nbytes * slots, "little")
+    half = 1 << (8 * nbytes - 1)
+    den = da * db
+    terms = []
+    carry = 0
+    for i in range(slots):
+        n = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") + carry
+        carry = n >= half
+        if carry:
+            n -= half << 1
+        if n:
+            terms.append((Fraction(k0 + i, r), Fraction(n, den)))
+    return tuple(terms)
 
 
 def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:

@@ -33,6 +33,15 @@ def _poly(p, marks, b):
     })
 
 
+def _series_cubic(precision, ram_den, lead, b_exp):
+    """Cubic over SeriesT(precision, ram_den): marks +-t^lead of multiplicity 2, b = t^b_exp."""
+    return polynomial_from_json({
+        "backend": {"kind": "series", "precision": precision, "ram_den": ram_den},
+        "marks": [{"c": [[lead, c]], "mult": 2} for c in ("1", "-1")],
+        "b": [[b_exp, "1"]],
+    })
+
+
 def baseline_cubic5():
     """Cubic over PAdic(5): marks +-1/5 of multiplicity 2, b = 1/25."""
     return _poly(5, ["1/5", "-1/5"], "1/25")
@@ -51,6 +60,10 @@ CASES = {
     **{f"core-cubic5-d{d}.json": (lambda d=d: _core_text(baseline_cubic5(), d))
        for d in range(2, 6)},
     "core-quartic7-d3.json": lambda: _core_text(_poly(7, ["2/7", "-5/7", "3/7"], "-3/49"), 3),
+    # the series baseline: SeriesT(30), marks +-t^-1, b = t^-4
+    "core-series30-cubic-d2.json": lambda: _core_text(_series_cubic("30", 1, "-1", "-4"), 2),
+    # half-integral exponents: SeriesT(10, ram_den=2), marks +-t^(-1/2), b = t^-2
+    "core-series10-r2-cubic-d2.json": lambda: _core_text(_series_cubic("10", 2, "-1/2", "-2"), 2),
     # b moved by 5^4: conjugate, every clause passes
     "report-conjugate.json": lambda: _report_text(
         baseline_cubic5(), _poly(5, ["1/5", "-1/5"], str(Fraction(1, 25) + 5 ** 4))),

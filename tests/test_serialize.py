@@ -109,6 +109,23 @@ MALFORMED = {
     "polynomial not an object": lambda: polynomial_from_json([]),
     "radius exponent not a number":
         lambda: point_from_json(Q5, {"center": "0", "radius_exp": "x"}),
+    # each once parsed as a different input (int() of 5.7 is 5) or raised IndexError
+    "empty coeffs": lambda: polynomial_from_json(
+        {"backend": P5, "coeffs": [], "marks": [{"c": "0", "mult": 2}]}),
+    "empty raw coeffs": lambda: raw_coefficients_from_json({"backend": P5, "coeffs": []}),
+    "p a non-integral float": lambda: backend_from_json({"kind": "padic", "p": 5.7}),
+    "p a bool": lambda: backend_from_json({"kind": "padic", "p": True}),
+    "p a string": lambda: backend_from_json({"kind": "padic", "p": "5"}),
+    "ram_den a non-integral float":
+        lambda: backend_from_json({"kind": "series", "precision": "8", "ram_den": 2.5}),
+    "ram_den a bool":
+        lambda: backend_from_json({"kind": "series", "precision": "8", "ram_den": True}),
+    "mult a non-integral float": lambda: polynomial_from_json(
+        _cubic(marks=[{"c": "1/5", "mult": 2.9}, {"c": "-1/5", "mult": 2}])),
+    "mult a bool": lambda: polynomial_from_json(
+        _cubic(marks=[{"c": "1/5", "mult": True}, {"c": "-1/5", "mult": 2}])),
+    "degree a non-integral float": lambda: polynomial_from_json(_cubic(degree=3.5)),
+    "degree a bool": lambda: polynomial_from_json(_cubic(degree=True)),
 }
 
 

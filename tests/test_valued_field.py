@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import multiplicity
+from sympy import Poly, QQ, Rational, multiplicity, symbols
 
 from tamedyn.errors import (
     DivisionByZero,
@@ -162,6 +163,124 @@ class TestUltrametric:
         assert vsum >= min(vx, vy)
         if vx != vy:
             assert vsum == min(vx, vy)
+
+
+X = symbols("X")
+
+
+def _sympy_poly(terms: dict[int, Fraction]):
+    """A series sum c t^(k/r) as (Poly in X = t^(1/r) over QQ, lowest index k)."""
+    low = min(terms)
+    coeffs = {(k - low,): Rational(c.numerator, c.denominator) for k, c in terms.items()}
+    return Poly.from_dict(coeffs, X, domain=QQ), low
+
+
+def _oracle_terms(poly, shift: int, r: int, cutoff: Fraction):
+    """The terms of X^shift * poly below the cutoff, as sorted (exponent, coeff) pairs."""
+    return tuple(sorted(
+        (Fraction(deg + shift, r), Fraction(int(c.p), int(c.q)))
+        for (deg,), c in poly.terms()
+        if c != 0 and Fraction(deg + shift, r) < cutoff
+    ))
+
+
+def _series(r: int, cutoff: Fraction, terms: dict[int, Fraction]):
+    return SeriesT(cutoff, r).scalar(terms=[(Fraction(k, r), c) for k, c in terms.items()])
+
+
+COEFFS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 25)),
+).filter(bool)
+
+
+@st.composite
+def series_terms(draw, r: int, top: int):
+    """Index -> coefficient of one operand: indices k (exponent k/r) from -8r
+    to top, sparse (a few anywhere) or dense (a run of consecutive indices)."""
+    low = -8 * r
+    if draw(st.booleans()):
+        return draw(st.dictionaries(st.integers(low, top), COEFFS, min_size=1, max_size=6))
+    start = draw(st.integers(low, top))
+    stop = min(top, start + draw(st.integers(0, 30)))
+    return {k: draw(COEFFS) for k in range(start, stop + 1)}
+
+
+@st.composite
+def series_pairs(draw, near_cutoff=False):
+    """(r, cutoff, a, b): ram_den 1-3, a positive cutoff that need not be a
+    multiple of 1/r, and two nonzero operands below it.  With near_cutoff
+    the lowest exponents of a and b sum to within 2/r of the cutoff."""
+    r = draw(st.integers(1, 3))
+    cutoff = draw(st.fractions(min_value=Fraction(1, 5), max_value=10, max_denominator=7))
+    top = math.ceil(cutoff * r) - 1  # the highest index below the cutoff
+    a, b = draw(series_terms(r, top)), draw(series_terms(r, top))
+    if near_cutoff:
+        ka = draw(st.integers(-1, top))
+        kb = min(top, top + 1 - ka + draw(st.integers(-2, 1)))
+        a = {k: c for k, c in a.items() if k > ka} | {ka: draw(COEFFS)}
+        b = {k: c for k, c in b.items() if k > kb} | {kb: draw(COEFFS)}
+    return r, cutoff, a, b
+
+
+class TestSeriesArithmeticOracle:
+    """Series * and + against sympy polynomial arithmetic over Q in X = t^(1/r),
+    an independent oracle."""
+
+    @given(case=st.one_of(series_pairs(), series_pairs(near_cutoff=True)))
+    @settings(max_examples=150)
+    def test_product(self, case):
+        r, cutoff, a, b = case
+        x, y = _series(r, cutoff, a), _series(r, cutoff, b)
+        (pa, sa), (pb, sb) = _sympy_poly(a), _sympy_poly(b)
+        if Fraction(sa + sb, r) >= cutoff:
+            # the two lowest exponents sum to the cutoff or beyond
+            with pytest.raises(PrecisionExhausted):
+                x * y
+        else:
+            assert (x * y).terms == _oracle_terms(pa * pb, sa + sb, r, cutoff)
+
+    @given(case=series_pairs(), cancel=st.booleans())
+    @settings(max_examples=150)
+    def test_sum(self, case, cancel):
+        r, cutoff, a, b = case
+        if cancel:  # b takes -a's coefficient at the indices they share
+            b = {k: -a.get(k, -c) for k, c in b.items()}
+        (pa, sa), (pb, sb) = _sympy_poly(a), _sympy_poly(b)
+        low = min(sa, sb)
+        expected = _oracle_terms(pa * Poly(X ** (sa - low), X, domain=QQ)
+                                 + pb * Poly(X ** (sb - low), X, domain=QQ), low, r, cutoff)
+        assert (_series(r, cutoff, a) + _series(r, cutoff, b)).terms == expected
+
+    @given(r=st.integers(1, 3), bits_a=st.integers(3, 60), length_bits=st.integers(2, 4),
+           spare=st.integers(0, 7),
+           signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+           start_a=st.integers(-6, 3), start_b=st.integers(-6, 3))
+    @settings(max_examples=100)
+    def test_product_digits_at_the_slot_boundary(self, r, bits_a, length_bits, spare, signs,
+                                                  start_a, start_b):
+        # Dense operands of length L = 2^j - 1 (j >= 2) with every coefficient
+        # +-(2^m - 1) (m >= 3, all bits set, one sign per operand): the middle
+        # digit of the product, L (2^m_a - 1)(2^m_b - 1), has m_a + m_b + j
+        # bits, one below the slot width m_a + m_b + j + 1.  With that width
+        # a whole number of bytes (spare = 0) the digit sets the highest bit
+        # below the sign bit, as close to the boundary +-(2^(w-1) - 1) as
+        # the width bound lets any digit come; the other byte alignments
+        # make a slot one bit (or bits(L) bits) narrower than the bound a
+        # whole byte narrower.
+        length = (1 << length_bits) - 1
+        bits_b = (spare - bits_a - length_bits - 1) % 8
+        bits_b += 8 if bits_b < 3 else 0
+        top = max(start_a + start_b + 2 * length, start_a + length, start_b + length, 1)
+        cutoff = Fraction(top, r)
+        a = {start_a + i: Fraction(signs[0] * ((1 << bits_a) - 1)) for i in range(length)}
+        b = {start_b + i: Fraction(signs[1] * ((1 << bits_b) - 1)) for i in range(length)}
+        product = (_series(r, cutoff, a) * _series(r, cutoff, b)).terms
+        (pa, sa), (pb, sb) = _sympy_poly(a), _sympy_poly(b)
+        assert product == _oracle_terms(pa * pb, sa + sb, r, cutoff)
+        middle = product[length - 1][1]
+        assert middle == signs[0] * signs[1] * length * ((1 << bits_a) - 1) * ((1 << bits_b) - 1)
+        assert abs(middle).numerator.bit_length() == bits_a + bits_b + length_bits
 
 
 class TestNthRootUnit:
