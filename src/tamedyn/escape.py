@@ -162,7 +162,20 @@ def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -
 
 def classify_critical(f: MarkedPolynomial, mark: CriticalMark,
                       budget: int = DEFAULT_BUDGET) -> EscapeRecord:
-    """EscapeRecord of a marked critical point under exact iteration."""
+    """EscapeRecord of a marked critical point under exact iteration.
+
+    Each (mark, budget) is classified once per polynomial: the record is
+    kept on f, so the classification report, the core tree and the
+    conjugacy checks share one orbit per mark.
+    """
+    key = (mark, budget)
+    rec = f._records.get(key)
+    if rec is None:
+        rec = f._records[key] = _classify(f, mark, budget)
+    return rec
+
+
+def _classify(f: MarkedPolynomial, mark: CriticalMark, budget: int) -> EscapeRecord:
     f.require_tame()
     status, data, values = _orbit_until_exit(f, mark.point, budget)
     if status == "escape":

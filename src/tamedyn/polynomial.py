@@ -10,12 +10,13 @@ critical count) and the test-suite cross-checks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import INF, Scalar, Val
+from tamedyn.valued_field import INF, PAdic, Scalar, Val, coprime_fraction
 
 
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
@@ -160,7 +161,14 @@ class MarkedPolynomial:
         self.degree = len(coeffs) - 1
         self._taylor_cache: dict[Scalar, tuple[Scalar, ...]] = {}
         self._tameness: TamenessReport | None = None
+        self._records: dict = {}  # (mark, budget) -> EscapeRecord, kept by escape.classify_critical
         self._verify()
+        # over PAdic: the coefficients times L, the lcm of their denominators
+        self._int_coeffs: tuple[int, ...] | None = None
+        if isinstance(self.backend, PAdic):
+            rats = [c.rational for c in self.coeffs]
+            self._den = math.lcm(*(a.denominator for a in rats))
+            self._int_coeffs = tuple(a.numerator * (self._den // a.denominator) for a in rats)
 
     # -- construction ---------------------------------------------------
 
@@ -237,10 +245,36 @@ class MarkedPolynomial:
     # -- basic evaluation ------------------------------------------------
 
     def __call__(self, z: Scalar) -> Scalar:
-        return poly_eval(list(self.coeffs), z, self.backend.zero)
+        if self._int_coeffs is None:
+            return poly_eval(list(self.coeffs), z, self.backend.zero)
+        if z.backend != self.backend:
+            raise TypeError("mixed backends")
+        return Scalar(self.backend, rational=self._eval_rational(z.rational))
 
-    def derivative_at(self, z: Scalar) -> Scalar:
-        return poly_eval(poly_derivative(list(self.coeffs)), z, self.backend.zero)
+    def _eval_rational(self, z: Fraction) -> Fraction:
+        """f(n/D) = N/M in integers, with M = L*D^d and N = sum c_i n^i D^(d-i).
+
+        f is monic and gcd(n, D) = 1, so N = L*n^d mod q for every prime q
+        dividing D: a prime dividing both N and M divides L.  (When N = 0,
+        n/D is a root of L*f, so D divides L.)  Dividing out gcd(gcd(N, L), M)
+        until it is 1 therefore reduces N/M, and each gcd has the small
+        argument L, so it costs one remainder of N, not a gcd of two huge
+        integers.
+        """
+        n, D = z.numerator, z.denominator
+        coeffs = self._int_coeffs
+        num, D_power = coeffs[-1], 1  # Horner in n, with D^(d-i) at c_i
+        for c in reversed(coeffs[:-1]):
+            D_power *= D
+            num *= n
+            if c:
+                num += c * D_power
+        L = self._den
+        den = L * D_power
+        while (h := math.gcd(math.gcd(num, L), den)) > 1:
+            num //= h
+            den //= h
+        return coprime_fraction(num, den)
 
     def taylor_at(self, a: Scalar) -> tuple[Scalar, ...]:
         cached = self._taylor_cache.get(a)

@@ -21,7 +21,8 @@ class InputError(TamedynError):
 
 
 # what int(), Fraction() and indexing raise on a malformed document
-_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+# (OverflowError: Fraction of an infinite float, which json.loads accepts)
+_MALFORMED = (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
 
 
 # str() and int() refuse integers of more than sys.get_int_max_str_digits()

@@ -46,6 +46,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+    coprime_fraction = Fraction._from_coprime_ints
+else:
+    def coprime_fraction(n: int, d: int) -> Fraction:
+        """n/d for coprime ints n and d > 0, built without running gcd again."""
+        return Fraction(n, d, _normalize=False)
+
+
 def int_valuation(n: int, p: int) -> int:
     """Largest e with p^e | n, for n != 0.
 

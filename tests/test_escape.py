@@ -1,10 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tamedyn import escape
 from tamedyn.berkovich import BerkPoint
+from tamedyn.conjugacy import build_conjugacy
+from tamedyn.core import build_core
 from tamedyn.errors import BudgetExhausted, NotInBasin
 from tamedyn.escape import (
     Bounded,
@@ -18,6 +22,7 @@ from tamedyn.escape import (
     julia_in_affine,
 )
 from tamedyn.polynomial import MarkedPolynomial, PiecewiseMonomial
+from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic, SeriesT, Val
 
 Q3 = PAdic(3)
@@ -220,3 +225,66 @@ class TestPullbackIteration:
         else:
             # only a slope-1 inverse piece to the right moves without bound
             assert limit is None and seg.lines[0][0] == 1
+
+
+def _padic(p, marks, b):
+    return polynomial_from_json({"backend": {"kind": "padic", "p": p},
+                                 "marks": [{"c": c, "mult": 2} for c in marks], "b": b})
+
+
+# escaping marks, orbits that trip the height guard in the unit disk, and an
+# unresolved mark next to two escaping ones
+ONCE_CASES = {
+    "escaping cubic": (5, ["1/5", "-1/5"], "1/25"),
+    "guarded quadratic": (3, ["0"], "-1/2"),
+    "guarded cubic": (5, ["1/2", "-1/2"], "-1/3"),
+    "unknown quartic": (3, ["0", "1/3", "-1/3"], "9"),
+}
+
+
+class TestClassifyOnce:
+    """Each mark's orbit is iterated once per polynomial, and the records
+    shared through the cache are those of a fresh classification."""
+
+    @staticmethod
+    def _count_orbits(monkeypatch):
+        started = []
+        original = escape._orbit_until_exit
+
+        def counted(f, start, budget):
+            started.append((id(f), start))
+            return original(f, start, budget)
+
+        monkeypatch.setattr(escape, "_orbit_until_exit", counted)
+        return started
+
+    @staticmethod
+    def _fresh_records(case):
+        f = _padic(*case)
+        return [escape._classify(f, m, escape.DEFAULT_BUDGET) for m in f.marks]
+
+    @pytest.mark.parametrize("name", sorted(ONCE_CASES))
+    def test_report_and_core_share_one_orbit_per_mark(self, monkeypatch, name):
+        f = _padic(*ONCE_CASES[name])
+        started = self._count_orbits(monkeypatch)
+        _, records = classification_report(f)
+        build_core(f, depth=2)
+        assert Counter(started) == Counter((id(f), m.point) for m in f.marks)
+        assert records == self._fresh_records(ONCE_CASES[name])
+        assert [classify_critical(f, m) for m in f.marks] == records
+
+    def test_conjugacy_shares_one_orbit_per_mark(self, monkeypatch):
+        case = ONCE_CASES["escaping cubic"]
+        moved = (5, case[1], str(Fraction(case[2]) + 5 ** 4))
+        f, g = _padic(*case), _padic(*moved)
+        started = self._count_orbits(monkeypatch)
+        build_conjugacy(f, g, None, depth=2)
+        assert Counter(started) == Counter([(id(f), m.point) for m in f.marks]
+                                           + [(id(g), m.point) for m in g.marks])
+        assert [classify_critical(f, m) for m in f.marks] == self._fresh_records(case)
+        assert [classify_critical(g, m) for m in g.marks] == self._fresh_records(moved)
+
+    def test_each_budget_is_its_own_record(self):
+        f = _padic(*ONCE_CASES["unknown quartic"])
+        assert classify_critical(f, f.marks[0], budget=3) == Unknown(3)
+        assert classify_critical(f, f.marks[0]) == Unknown(9)

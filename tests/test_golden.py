@@ -1,8 +1,9 @@
 """Golden outputs: exported core trees and verification reports stay byte-identical.
 
-The files under ``tests/golden/`` pin the exact text of ``export_core`` and of
-``VerificationReport.to_dict()`` for a few fixed inputs.  Any change to the
-core tree, the conjugacy checks or the serialization that alters a single byte
+The files under ``tests/golden/`` pin the exact text of ``export_core``, of
+``VerificationReport.to_dict()`` and of the ``classification_report`` records
+for a few fixed inputs.  Any change to the core tree, the conjugacy checks,
+the orbit classification or the serialization that alters a single byte
 fails here.  Regenerate them only on purpose, from the commit whose outputs
 are the reference:
 
@@ -20,6 +21,7 @@ import pytest
 
 from tamedyn.conjugacy import build_conjugacy, verify_extendable
 from tamedyn.core import build_core, export_core
+from tamedyn.escape import Bounded, Escaping, classification_report
 from tamedyn.serialize import polynomial_from_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,6 +58,23 @@ def _report_text(f, g):
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _record_json(rec) -> dict:
+    if isinstance(rec, Escaping):
+        return {"escaping": rec.first_exit}
+    if isinstance(rec, Bounded):
+        return {"bounded": rec.kind,
+                "diam_exp": None if rec.diam_exp is None else str(rec.diam_exp),
+                "preperiod": rec.preperiod, "period": rec.period}
+    return {"unknown": rec.budget_spent}
+
+
+def _classification_text(f):
+    classification, records = classification_report(f)
+    summary = {"classification": classification.value,
+               "records": [_record_json(r) for r in records]}
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
 CASES = {
     **{f"core-cubic5-d{d}.json": (lambda d=d: _core_text(baseline_cubic5(), d))
        for d in range(2, 6)},
@@ -64,6 +83,13 @@ CASES = {
     "core-series30-cubic-d2.json": lambda: _core_text(_series_cubic("30", 1, "-1", "-4"), 2),
     # half-integral exponents: SeriesT(10, ram_den=2), marks +-t^(-1/2), b = t^-2
     "core-series10-r2-cubic-d2.json": lambda: _core_text(_series_cubic("10", 2, "-1/2", "-2"), 2),
+    # orbits that stay in the unit disk until the height guard trips: the
+    # base exponent 0 certifies the whole disk
+    "classify-quad3-guard.json": lambda: _classification_text(_poly(3, ["0"], "-1/2")),
+    "classify-cubic5-guard.json": lambda: _classification_text(_poly(5, ["1/2", "-1/2"], "-1/3")),
+    # base exponent -1: the step where the height guard trips is the output
+    "classify-quartic3-unknown.json": lambda: _classification_text(
+        _poly(3, ["0", "1/3", "-1/3"], "9")),
     # b moved by 5^4: conjugate, every clause passes
     "report-conjugate.json": lambda: _report_text(
         baseline_cubic5(), _poly(5, ["1/5", "-1/5"], str(Fraction(1, 25) + 5 ** 4))),

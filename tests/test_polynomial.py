@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
-from tamedyn.valued_field import INF, PAdic, SeriesT, Val
+from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial, poly_eval
+from tamedyn.valued_field import INF, PAdic, SeriesT, Val, coprime_fraction
 
 Q3 = PAdic(3)
 Q5 = PAdic(5)
@@ -284,3 +285,76 @@ class TestExpansionLaw:
             x = BerkPoint(Q3.scalar(0), q)
             img, _ = f.image_point(x)
             assert img.radius_exp == Val(2 * q)
+
+
+# marks -> critical data of a monic centered polynomial: sum (d_i - 1) c_i = 0
+SHAPES = [
+    lambda c: [(0, 2)],
+    lambda c: [(c, 2), (-c, 2)],
+    lambda c: [(0, 3)],
+    lambda c: [(0, 2), (c, 2), (-c, 2)],
+    lambda c: [(-2 * c, 2), (c, 3)],
+]
+
+
+@st.composite
+def shared_rationals(draw, p):
+    """Rationals whose denominators are drawn from {2, 3, p}, times p^k for
+    k in [-3, 3]: they share primes with each other and with p, and their
+    valuations are of either sign."""
+    den = 1
+    for q in {2, 3, p}:
+        den *= q ** draw(st.integers(0, 3))
+    k = draw(st.integers(-3, 3))
+    return Fraction(draw(st.integers(-40, 40)), den) * Fraction(p) ** k
+
+
+@st.composite
+def polynomial_and_point(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    backend = PAdic(p)
+    c = draw(shared_rationals(p).filter(bool))
+    marks = [(backend.scalar(m), k) for m, k in draw(st.sampled_from(SHAPES))(c)]
+    f = MarkedPolynomial.from_critical_data(marks, backend.scalar(draw(shared_rationals(p))))
+    return f, backend.scalar(draw(shared_rationals(p)))
+
+
+def _same_rational(a: Fraction, b: Fraction):
+    assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
+    assert a.denominator > 0
+
+
+class TestIntegerEvaluation:
+    """f(z) over PAdic is computed in integers and reduced by gcds against the
+    lcm L of the coefficient denominators only; Horner over Fractions, which
+    reduces every step, is the oracle."""
+
+    @settings(max_examples=300)
+    @given(case=polynomial_and_point())
+    def test_matches_fraction_horner(self, case):
+        f, z = case
+        zero = f.backend.zero
+        for _ in range(2):  # the point, then its image
+            fz = f(z)
+            _same_rational(fz.rational, poly_eval(list(f.coeffs), z, zero).rational)
+            z = fz
+
+    def test_zero_and_repeated_reduction(self):
+        # z^2 - 1/4 at 1/2 is 0; z^2 + 1/4 at 1/2 is 8/16 before reduction,
+        # and one division by gcd(gcd(8, 4), 16) = 4 leaves 2/4
+        for b, expected in ((F(-1, 4), F(0)), (F(1, 4), F(1, 2))):
+            f = MarkedPolynomial.from_critical_data([(Q3.scalar(0), 2)], Q3.scalar(b))
+            _same_rational(f(Q3.scalar(F(1, 2))).rational, expected)
+
+    def test_mixed_backends_rejected(self):
+        with pytest.raises(TypeError):
+            quad_third()(Q5.scalar(1))
+
+    @given(n=st.integers(-10 ** 30, 10 ** 30), d=st.integers(1, 10 ** 30))
+    def test_coprime_fraction(self, n, d):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        q = coprime_fraction(n, d)
+        assert type(q) is Fraction
+        _same_rational(q, Fraction(n, d))
+        assert q == Fraction(n, d) and hash(q) == hash(Fraction(n, d))

@@ -4,16 +4,20 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tamedyn.berkovich import BerkPoint
 from tamedyn.core import build_core, export_core
-from tamedyn.errors import InvalidMarks
+from tamedyn.errors import InvalidMarks, PrecisionExhausted, TamedynError
+from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import (
     InputError,
     backend_from_json,
     point_from_json,
+    point_to_json,
     polynomial_from_json,
+    polynomial_to_json,
     raw_coefficients_from_json,
     scalar_from_json,
     scalar_to_json,
@@ -126,6 +130,13 @@ MALFORMED = {
         _cubic(marks=[{"c": "1/5", "mult": True}, {"c": "-1/5", "mult": 2}])),
     "degree a non-integral float": lambda: polynomial_from_json(_cubic(degree=3.5)),
     "degree a bool": lambda: polynomial_from_json(_cubic(degree=True)),
+    # each once let an OverflowError out (Fraction of an infinite float)
+    "series precision an infinite float":
+        lambda: backend_from_json({"kind": "series", "precision": float("inf")}),
+    "series exponent an infinite float": lambda: scalar_from_json(QT, [[float("inf"), "1"]]),
+    "series coefficient an infinite float": lambda: scalar_from_json(QT, [["1", float("-inf")]]),
+    "radius exponent an infinite float":
+        lambda: point_from_json(Q5, {"center": "0", "radius_exp": float("inf")}),
 }
 
 
@@ -138,3 +149,132 @@ def test_malformed_input_raises_input_error(case):
 def test_domain_errors_keep_their_class():
     with pytest.raises(InvalidMarks):
         polynomial_from_json(_cubic(marks=[{"c": "1/5", "mult": 1}]))
+
+
+# -- JSON round trips ------------------------------------------------------------
+
+# marks -> critical data of a monic centered polynomial: sum (d_i - 1) c_i = 0
+SHAPES = [
+    lambda c: [(c, 2), (-c, 2)],
+    lambda c: [(c, 2), (-c, 2), (c.scale(0), 2)],
+    lambda c: [(c.scale(-2), 2), (c, 3)],
+]
+SMALL_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+@st.composite
+def padic_scalars(draw, backend):
+    return backend.scalar(draw(SMALL_RATIONALS) * Fraction(backend.p) ** draw(st.integers(-3, 3)))
+
+
+@st.composite
+def series_scalars(draw, backend):
+    exponents = st.integers(-2 * backend.ram_den, backend.ram_den).map(
+        lambda k: Fraction(k, backend.ram_den))
+    terms = draw(st.lists(st.tuples(exponents, SMALL_RATIONALS), max_size=4))
+    return backend.scalar(terms=terms)
+
+
+@st.composite
+def backends_and_scalars(draw):
+    if draw(st.booleans()):
+        backend = PAdic(draw(st.sampled_from([3, 5, 7])))
+        return backend, padic_scalars(backend)
+    backend = SeriesT(Fraction(draw(st.integers(6, 24)), draw(st.integers(1, 3))),
+                      draw(st.integers(1, 3)))
+    return backend, series_scalars(backend)
+
+
+@st.composite
+def polynomials(draw):
+    _, scalars = draw(backends_and_scalars())
+    c = draw(scalars.filter(lambda x: not x.is_zero))
+    marks = draw(st.sampled_from(SHAPES))(c)
+    try:
+        return MarkedPolynomial.from_critical_data(marks, draw(scalars))
+    except PrecisionExhausted:  # a series product with no term below the cutoff
+        assume(False)
+
+
+def _via_json_text(data):
+    return json.loads(json.dumps(data))
+
+
+class TestRoundTrip:
+    @settings(max_examples=150)
+    @given(f=polynomials())
+    def test_polynomial(self, f):
+        g = polynomial_from_json(_via_json_text(polynomial_to_json(f)))
+        assert g.backend == f.backend
+        assert g.coeffs == f.coeffs
+        assert g.marks == f.marks
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_point(self, data):
+        backend, scalars = data.draw(backends_and_scalars())
+        radius = data.draw(st.one_of(st.none(), SMALL_RATIONALS))
+        x = BerkPoint(data.draw(scalars), radius)
+        y = point_from_json(backend, _via_json_text(point_to_json(x)))
+        assert (y.center, y.radius_exp) == (x.center, x.radius_exp)
+
+
+# -- mutated polynomial documents ----------------------------------------------------
+
+VALID_DOCUMENTS = [
+    _cubic(),
+    _cubic(degree=3),
+    {"backend": {"kind": "series", "precision": "12", "ram_den": 2},
+     "marks": [{"c": [["-1/2", "1"]], "mult": 2}, {"c": [["-1/2", "-1"]], "mult": 2}],
+     "b": [["-2", "1"], ["1", "3/4"]]},
+    {"backend": P5, "coeffs": ["1/25", "-3/25", "0", "1"],
+     "marks": [{"c": "1/5", "mult": 2}, {"c": "-1/5", "mult": 2}]},
+]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-6, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 2.5, 1e300]),
+    st.sampled_from(["", "x", "0", "1", "-1", "1/0", "0/0", "1/3", "inf", "-inf", "nan",
+                     "1e3", "2.5", "a/b", "padic", "series", "c", "mult", "b"]),
+    st.lists(st.sampled_from(["0", "1", "1/5", 1, None]), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "p", "c", "mult", "precision"]),
+                    st.sampled_from(["padic", 5, "1", 2, None]), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JUNK)
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JUNK)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@settings(max_examples=1000)
+@given(doc=mutated_documents())
+def test_mutated_polynomial_raises_only_package_errors(doc):
+    try:
+        polynomial_from_json(doc)
+    except TamedynError:
+        pass
