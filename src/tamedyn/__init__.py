@@ -8,7 +8,7 @@ element; no floating point is used anywhere.
 """
 
 from tamedyn.valued_field import PAdic, SeriesT, Scalar, Val, nth_root_unit
-from tamedyn.berkovich import BerkPoint, Comparison, compare, direction_of, hyp_dist, join
+from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist, join
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "compare",
     "join",
     "hyp_dist",
-    "direction_of",
     "CriticalMark",
     "MarkedPolynomial",
 ]

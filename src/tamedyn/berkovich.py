@@ -14,14 +14,10 @@ points is measured in backend log units (one unit = log p for PAdic,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from tamedyn.errors import TypeIPoint
 from tamedyn.valued_field import INF, Scalar, Val
-
-Rat = Union[int, Fraction]
 
 
 def _as_val(q) -> Val:
@@ -39,23 +35,6 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-class Infinity:
-    """Marker for the point at infinity used as a direction target."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INFINITY = Infinity()
-
-
 class BerkPoint:
     """A type I/II/III point: closed disk with exact radius exponent."""
 
@@ -69,10 +48,6 @@ class BerkPoint:
     def classical(cls, center: Scalar) -> "BerkPoint":
         return cls(center, INF)
 
-    @classmethod
-    def gauss(cls, backend) -> "BerkPoint":
-        return cls(backend.zero, Val(0))
-
     @property
     def backend(self):
         return self.center.backend
@@ -80,16 +55,6 @@ class BerkPoint:
     @property
     def is_classical(self) -> bool:
         return self.radius_exp.is_infinite
-
-    def point_type(self) -> int:
-        """1, 2 or 3 according to Berkovich's classification.
-
-        Type II iff the radius exponent lies in the value group of the
-        backend's representable scalars.
-        """
-        if self.radius_exp.is_infinite:
-            return 1
-        return 2 if self.backend.in_value_group(self.radius_exp.finite) else 3
 
     def contains_scalar(self, b: Scalar) -> bool:
         """Whether the classical point b lies in the closed disk."""
@@ -153,46 +118,3 @@ def hyp_dist(x: BerkPoint, y: BerkPoint) -> Fraction:
         raise TypeIPoint("hyperbolic distance needs non-classical points")
     j = join(x, y)
     return (x.radius_exp - j.radius_exp).finite + (y.radius_exp - j.radius_exp).finite
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A tangent direction at a non-classical point.
-
-    The witness is either the point at infinity or a scalar in the
-    closed disk; two scalar witnesses denote the same direction iff they
-    agree strictly below the radius.
-    """
-
-    at: BerkPoint
-    toward_infinity: bool = False
-    witness: Scalar | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, Direction):
-            return NotImplemented
-        if self.at != other.at:
-            return False
-        if self.toward_infinity or other.toward_infinity:
-            return self.toward_infinity == other.toward_infinity
-        return (self.witness - other.witness).valuation() > self.at.radius_exp
-
-    def __hash__(self):
-        return hash((self.at, self.toward_infinity))
-
-
-def direction_of(x: BerkPoint, target) -> Direction:
-    """The direction at x containing the target (a scalar or INFINITY).
-
-    A scalar outside the closed disk of x lies in the unbounded
-    direction, the same one that contains infinity.
-    """
-    if x.radius_exp.is_infinite:
-        raise TypeIPoint("directions live at type II/III points")
-    if target is INFINITY:
-        return Direction(x, toward_infinity=True)
-    if not isinstance(target, Scalar):
-        raise TypeError("target must be a Scalar or INFINITY")
-    if (target - x.center).valuation() < x.radius_exp:
-        return Direction(x, toward_infinity=True)
-    return Direction(x, witness=target)

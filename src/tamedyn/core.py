@@ -12,31 +12,41 @@ absent from truncated.
 Vertices are the base point, all joins of materialized rays and critical
 marks (local degree is constant between consecutive mark joins, which
 keeps every edge at a single degree), and the forward/backward closure
-of these under the exact ray dynamics.  Each vertex carries orbit
-witnesses (mark index, iterate): the vertex is the disk of its radius
-exponent around that orbit value.  Two disks of one radius are equal
-exactly when they share a witness, so a vertex is looked up by its
-radius exponent and any one of its labels.
+of these under the exact ray dynamics.  Every vertex is a disk
+D(a, q) around a value of the pool {0, orbit values, marks}.  The metric
+is ultrametric, so a disk is fixed by its exponent q and the pool values
+it contains: ``build_core`` names it once, as (q, least pool index b with
+v(a - pool[b]) >= q), reading one row of a table of pairwise valuations,
+and keeps its first center and its orbit witnesses (mark index,
+iterate), the orbit values inside.  Two disks of one radius are equal
+exactly when they share a witness, so a finished tree looks a vertex up
+by its radius exponent and any one of its labels.  The image of each
+vertex is recorded by the closure's forward step.
 
 Each vertex's parent is its closest strict ancestor, the upper end of
-its edge.  Its level counts the vertices on the segment from it to the
-base point: 0 outside the base disk, 1 at the base point, and one more
-than its parent's strictly inside.
+its edge, found with ``compare`` over the larger disks (the benchmark's
+traced run counts those calls; reading the table instead waits for its
+next change, see ROADMAP.md).  Its level counts the vertices on the
+segment from it to the base point: 0 outside the base disk, 1 at the
+base point, and one more than its parent's strictly inside.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import INF, Scalar, Val
+from tamedyn.valued_field import Scalar, Val
 
 DEFAULT_DEPTH = 3
 DEFAULT_BUDGET = 64
+
+DiskKey = tuple[Fraction, int]  # (radius exponent, least pool index inside)
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ class BoundaryMark:
 
 class CoreTree:
     def __init__(self, f, rho, depth, budget, fwd_depth, vertices, edges,
-                 boundary, warnings, orbit):
+                 dynamics, boundary, warnings, orbit):
         self.f = f
         self.rho = rho  # Fraction or None (= untrimmed)
         self.depth = depth
@@ -71,7 +81,7 @@ class CoreTree:
         self.fwd_depth = fwd_depth
         self.vertices: tuple[CoreVertex, ...] = vertices
         self.edges: tuple[CoreEdge, ...] = edges
-        self.dynamics: tuple[int | None, ...] = ()  # set once vertices can be looked up
+        self.dynamics: tuple[int | None, ...] = dynamics  # image vertex of each vertex
         self.boundary: tuple[BoundaryMark, ...] = boundary
         self.warnings: tuple[str, ...] = warnings
         self._orbit = orbit  # (mark, iterate) -> Scalar
@@ -130,7 +140,7 @@ def _axis_only_tree(f, rho, depth, budget, warnings) -> CoreTree:
         BoundaryMark("julia_base", None, "base point bounds the tree from below"),
         BoundaryMark("to_infinity", None, "open axis toward infinity"),
     )
-    return CoreTree(f, rho, depth, budget, max(2, depth), (), (), boundary,
+    return CoreTree(f, rho, depth, budget, max(2, depth), (), (), (), boundary,
                     tuple(warnings), {})
 
 
@@ -165,9 +175,9 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     segs = {key: f.segment_dynamics(w) for key, w in orbit.items()}
 
     # candidate vertex centers: 0, the materialized orbit values and every
-    # critical mark position, each distinct value once; points and orbit
-    # keys refer to them by index, so that each valuation v(x - y) between
-    # two of them is computed at most once
+    # critical mark position, each distinct value once; disks and orbit
+    # keys refer to them by index, and table[x][y] = v(pool[x] - pool[y])
+    # is computed once per pair (infinite on the diagonal only)
     pool: list[Scalar] = [zero]
     slot_of: dict[Scalar, int] = {zero: 0}
     for w in [*orbit.values(), *(mark.point for mark in f.marks)]:
@@ -175,128 +185,115 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             slot_of[w] = len(pool)
             pool.append(w)
     slots = {key: slot_of[w] for key, w in orbit.items()}
-    dists: dict[tuple[int, int], Val] = {}
-
-    def dist(x: int, y: int) -> Val:
-        """v(pool[x] - pool[y]); dist(x, 0) is v(pool[x])."""
-        if x == y:
-            return INF
-        key = (x, y) if x < y else (y, x)
-        e = dists.get(key)
-        if e is None:
-            e = dists[key] = (pool[key[1]] - pool[key[0]]).valuation()
-        return e
+    keys_at: list[list[tuple[int, int]]] = [[] for _ in pool]
+    for key, s in slots.items():
+        keys_at[s].append(key)
+    table = [[math.inf] * len(pool) for _ in pool]
+    for x in range(len(pool)):
+        for y in range(x):
+            table[x][y] = table[y][x] = (pool[x] - pool[y]).valuation().finite
 
     cuts: dict[tuple[int, int], Fraction] = {}
     if rho is not None:
         for (i, n), s in slots.items():
             m = exits[i]
             if n >= m:
-                cuts[(i, n)] = dist(s, 0).finite + rho
+                cuts[(i, n)] = table[s][0] + rho
             else:
-                t = dist(slots[(i, m)], 0).finite + rho
+                t = table[slots[(i, m)]][0] + rho
                 for k in range(m - 1, n - 1, -1):
                     t = segs[(i, k)].invert(t)
                 cuts[(i, n)] = t
 
-    top_exp = min(dist(s, 0).finite for s in slots.values() if s != 0)
+    top_exp = min(table[s][0] for s in slots.values() if s != 0)
 
-    def on_tree(a: int, q: Fraction) -> bool:
-        if q < top_exp:
-            return False
-        vq = Val(q)
-        if q <= base and dist(a, 0) >= vq:
-            return True
-        for key, s in slots.items():
-            if dist(s, a) >= vq:
-                cut = cuts.get(key)
-                if cut is None or q < cut:
-                    return True
-        return False
+    # the disks on the tree -> (center, orbit keys inside, sorted), in the
+    # order they were found; each one is also queued once for the closure,
+    # with its count of steps below the base
+    disks: dict[DiskKey, tuple[int, tuple[tuple[int, int], ...]]] = {}
+    pending: list[tuple[DiskKey, int]] = []
 
-    points: list[tuple[int, Fraction]] = []
-
-    def add_point(a: int, q: Fraction) -> bool:
-        if not on_tree(a, q):
-            return False
-        vq = Val(q)
-        for b, r in points:
-            if r == q and dist(a, b) >= vq:
-                return False
-        points.append((a, q))
-        return True
+    def disk(a: int, q: Fraction, counter: int) -> DiskKey:
+        """The key of D(pool[a], q).  A new disk is recorded and queued when
+        it is on the tree: q is at least the top exponent, and the disk either
+        contains the base disk or an orbit value whose ray is not trimmed at q."""
+        row = table[a]
+        least = next(b for b, e in enumerate(row) if e >= q)
+        key = (q, least)
+        if key in disks or q < top_exp:
+            return key
+        labels = tuple(sorted(k for b in range(least, len(row)) if row[b] >= q
+                              for k in keys_at[b]))
+        if (q <= base and row[0] >= q) or any(cuts.get(k, math.inf) > q for k in labels):
+            if not labels:
+                raise AssertionError("vertex without an orbit witness")
+            disks[key] = (a, labels)
+            pending.append((key, counter))
+        return key
 
     # the base point plus all pairwise joins of the pool
-    add_point(0, base)
+    disk(0, base, 0)
     for a in range(len(pool)):
         for b in range(a + 1, len(pool)):
-            add_point(a, dist(a, b).finite)
+            disk(a, table[a][b], 0)
 
-    # closure under the exact ray dynamics, forward and backward;
-    # backward steps inside the base disk are counted against `depth`
-    vbase = Val(base)
-    pending = [(a, q, 0) for a, q in points]
+    # closure under the exact ray dynamics, forward and backward; backward
+    # steps inside the base disk are counted against `depth`.  The forward
+    # step goes along the first label with a materialized successor, and
+    # its image disk is the vertex's recorded image.
+    images: dict[DiskKey, DiskKey | None] = {}
     guard = 0
     while pending:
         guard += 1
         if guard > 100_000:
             raise AssertionError("tree closure failed to stabilize")
-        a, q, counter = pending.pop()
-        vq = Val(q)
-        # forward step along any witness with a materialized successor
-        for (i, n), s in slots.items():
-            if dist(s, a) >= vq and (i, n + 1) in slots:
+        key, counter = pending.pop()
+        q, labels = key[0], disks[key][1]
+        images[key] = None
+        for i, n in labels:
+            succ = slots.get((i, n + 1))
+            if succ is not None:
                 q_img = segs[(i, n)].image_exp(q)
-                a_img = slots[(i, n + 1)]
-                if q_img >= top_exp and add_point(a_img, q_img):
-                    pending.append((a_img, q_img, 0))
+                if q_img >= top_exp:
+                    images[key] = disk(succ, q_img, 0)
                 break
-        # backward steps: preimages on every materialized ray
-        for (j, k), s in slots.items():
-            succ = slots.get((j, k + 1))
-            if succ is not None and dist(succ, a) >= vq:
-                q_pre = segs[(j, k)].invert(q)
-                below_base = min(dist(s, 0), Val(q_pre)) >= vbase
+        # preimages on every materialized ray
+        for j, n in labels:
+            if n > 0:
+                s = slots[(j, n - 1)]
+                q_pre = segs[(j, n - 1)].invert(q)
+                below_base = min(table[s][0], q_pre) >= base
                 new_counter = counter + (1 if below_base else 0)
-                if new_counter <= depth + 1 and add_point(s, q_pre):
-                    pending.append((s, q_pre, new_counter))
+                if new_counter <= depth + 1:
+                    disk(s, q_pre, new_counter)
 
-    # witnesses and levels
-    witnesses: list[tuple[tuple[int, int], ...]] = []
-    for a, q in points:
-        vq = Val(q)
-        wits = tuple(sorted(key for key, s in slots.items() if dist(s, a) >= vq))
-        if not wits:
-            raise AssertionError("vertex without an orbit witness")
-        witnesses.append(wits)
-
-    # parents: the closest strict ancestor of a point is the first of the
+    # parents: the closest strict ancestor of a disk is the first of the
     # larger disks, from the smallest up, that contains it
-    pts = [BerkPoint(pool[a], Val(q)) for a, q in points]
-    by_radius = sorted(range(len(points)), key=lambda i: points[i][1])
-    parent: list[int | None] = [None] * len(points)
-    levels = [0] * len(points)
-    for pos, idx in enumerate(by_radius):
-        a, q = points[idx]
-        for u in reversed(by_radius[:pos]):
-            if points[u][1] < q and compare(pts[idx], pts[u]) is Comparison.LESS:
-                parent[idx] = u
-                break
-        if min(dist(a, 0), Val(q)) >= vbase:  # level 0 outside the base disk
-            levels[idx] = 1 if q == base else 1 + levels[parent[idx]]
+    pts = {key: BerkPoint(pool[a], Val(key[0])) for key, (a, _) in disks.items()}
+    by_radius = sorted(disks, key=lambda key: key[0])
+    parent: dict[DiskKey, DiskKey | None] = {}
+    level: dict[DiskKey, int] = {}
+    for pos, key in enumerate(by_radius):
+        q = key[0]
+        parent[key] = next((u for u in reversed(by_radius[:pos])
+                            if u[0] < q and compare(pts[key], pts[u]) is Comparison.LESS), None)
+        if min(table[disks[key][0]][0], q) < base:  # level 0 outside the base disk
+            level[key] = 0
+        else:
+            level[key] = 1 if q == base else 1 + level[parent[key]]
 
-    # ancestors have no higher level, so the kept points keep their parents
-    depth_truncated = any(lv > depth for lv in levels)
-    keep = [i for i, lv in enumerate(levels) if lv <= depth]
-    order = sorted(
-        keep,
-        key=lambda i: (points[i][1], witnesses[i][0]),
-    )
-    vertices = tuple(
-        CoreVertex(pts[i], witnesses[i], levels[i]) for i in order
-    )
-    vertex_of = {i: vi for vi, i in enumerate(order)}
-    parents = [None if parent[i] is None else vertex_of[parent[i]] for i in order]
+    # ancestors have no higher level, so the kept disks keep their parents
+    depth_truncated = any(lv > depth for lv in level.values())
+    order = sorted((key for key in disks if level[key] <= depth),
+                   key=lambda key: (key[0], disks[key][1][0]))
+    vertex_of = {key: vi for vi, key in enumerate(order)}
+    vertices = tuple(CoreVertex(pts[key], disks[key][1], level[key]) for key in order)
+    parents = [None if parent[key] is None else vertex_of[parent[key]] for key in order]
+    dynamics = []
+    for key in order:
+        if images[key] is not None and images[key] not in vertex_of:
+            raise AssertionError("image of a vertex is missing from the tree")
+        dynamics.append(None if images[key] is None else vertex_of[images[key]])
 
     # edges: each vertex to its parent
     edges = []
@@ -332,26 +329,8 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     if depth_truncated:
         warnings.append(f"vertices beyond level {depth} were pruned")
 
-    tree = CoreTree(f, rho, depth, budget, fwd, vertices, tuple(edges),
+    return CoreTree(f, rho, depth, budget, fwd, vertices, tuple(edges), tuple(dynamics),
                     tuple(boundary), tuple(warnings), orbit)
-
-    # dynamics: image through any witness with materialized successor
-    dynamics: list[int | None] = []
-    for v in vertices:
-        target = None
-        for i, n in v.witnesses:
-            if (i, n + 1) in orbit:
-                q_img = segs[(i, n)].image_exp(v.point.radius_exp.finite)
-                if q_img >= top_exp:
-                    target = tree.vertex_at(Val(q_img), (i, n + 1))
-                    if target is None:
-                        raise AssertionError(
-                            "image of a vertex is missing from the tree"
-                        )
-                break
-        dynamics.append(target)
-    tree.dynamics = tuple(dynamics)
-    return tree
 
 
 def export_core(tree: CoreTree) -> str:

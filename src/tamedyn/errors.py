@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping for the CLI: resource exhaustion (budget, precision,
-iteration, truncation order) maps to exit code 3, every other error to
-exit code 2.  Verdict-like outcomes (a failed verification, a NotFound
-search) are ordinary return values, not exceptions.
+iteration) maps to exit code 3, every other error to exit code 2.
+Verdict-like outcomes (a failed verification, a NotFound search) are
+ordinary return values, not exceptions.
 """
 
 
@@ -79,8 +79,4 @@ class MaxIterExceeded(TamedynError):
     pass
 
 
-class OrderInsufficient(TamedynError):
-    pass
-
-
-EXHAUSTION_ERRORS = (PrecisionExhausted, BudgetExhausted, MaxIterExceeded, OrderInsufficient)
+EXHAUSTION_ERRORS = (PrecisionExhausted, BudgetExhausted, MaxIterExceeded)

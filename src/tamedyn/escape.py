@@ -252,8 +252,3 @@ def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET):
     ):
         return Classification.JULIA_IN_AFFINE, records
     return Classification.UNKNOWN, records
-
-
-def julia_in_affine(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET) -> Classification:
-    classification, _ = classification_report(f, budget)
-    return classification

@@ -123,15 +123,6 @@ class PiecewiseMonomial:
     def image_exp(self, q: Fraction) -> Fraction:
         return min(k * q + v for k, v in self.lines)
 
-    def degree_at(self, q: Fraction) -> int:
-        m = self.image_exp(q)
-        return max(k for k, v in self.lines if k * q + v == m)
-
-    @property
-    def top_slope(self) -> int:
-        """Slope for q near +infinity: the local degree at the center."""
-        return self.lines[0][0]
-
     def invert(self, target: Fraction) -> Fraction:
         """The unique q with image_exp(q) = target."""
         return max((target - v) / k for k, v in self.lines)

@@ -15,8 +15,8 @@ Backends:
 
 Absolute values are never materialized: |x| = base^(-v(x)) is carried
 around as the exact rational exponent v(x), wrapped in :class:`Val`.
-Larger valuation means smaller absolute value; ``Val.INFINITY`` is the
-valuation of 0.
+Larger valuation means smaller absolute value; ``INF`` is the valuation
+of 0.
 """
 
 from __future__ import annotations
@@ -83,18 +83,36 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+"""Miller-Rabin to the bases 2..41 decides primality exactly below this
+bound (Sorenson and Webster, Math. Comp. 2017)."""
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, for n < PRIME_BOUND (ValueError from there on)."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality of {n} is only decided below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
+    if n in _BASES:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in _BASES):
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -157,11 +175,6 @@ class Val:
             raise ValueError("finite - inf is undefined")
         return Val(self._q - o)
 
-    def scaled(self, factor: Rat) -> "Val":
-        if self._q is None:
-            return INF
-        return Val(self._q * _as_fraction(factor))
-
     def __repr__(self):
         return "Val(inf)" if self._q is None else f"Val({self._q})"
 
@@ -205,16 +218,6 @@ class PAdic:
     @property
     def one(self) -> "Scalar":
         return self.scalar(1)
-
-    def uniformizer_power(self, exponent: Rat) -> "Scalar":
-        """p^exponent; exponent must be an integer (value group is Z)."""
-        e = _as_fraction(exponent)
-        if e.denominator != 1:
-            raise ValueError(f"p^{e} is not representable over the rationals")
-        return self.scalar(Fraction(self.p) ** int(e))
-
-    def in_value_group(self, q: Fraction) -> bool:
-        return q.denominator == 1
 
 
 class SeriesT:
@@ -280,12 +283,6 @@ class SeriesT:
     @property
     def t(self) -> "Scalar":
         return self.scalar(terms=[(1, 1)])
-
-    def uniformizer_power(self, exponent: Rat) -> "Scalar":
-        return self.scalar(terms=[(_as_fraction(exponent), 1)])
-
-    def in_value_group(self, q: Fraction) -> bool:
-        return self.ram_den % q.denominator == 0
 
 
 Backend = Union[PAdic, SeriesT]

@@ -1,20 +1,11 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedyn.berkovich import (
-    INFINITY,
-    BerkPoint,
-    Comparison,
-    compare,
-    direction_of,
-    hyp_dist,
-    join,
-)
+from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist, join
 from tamedyn.errors import TypeIPoint
-from tamedyn.valued_field import INF, PAdic, Val
+from tamedyn.valued_field import PAdic
 
 Q3 = PAdic(3)
 
@@ -27,15 +18,10 @@ def classical(center):
     return BerkPoint.classical(Q3.scalar(center))
 
 
-GAUSS = BerkPoint.gauss(Q3)
+GAUSS = BerkPoint(Q3.zero, 0)
 
 
 class TestTypes:
-    def test_classification(self):
-        assert classical(5).point_type() == 1
-        assert GAUSS.point_type() == 2
-        assert pt(0, Fraction(-1, 2)).point_type() == 3
-
     def test_equality_same_disk(self):
         # same closed disk under a different center
         assert pt(0, 1) == pt(3, 1)
@@ -87,24 +73,6 @@ class TestHypDist:
             hyp_dist(classical(0), GAUSS)
 
 
-class TestDirections:
-    def test_toward_point(self):
-        d = direction_of(GAUSS, Q3.scalar(3))
-        assert not d.toward_infinity
-        # 3 is in the same direction as 0 at the Gauss point
-        assert d == direction_of(GAUSS, Q3.scalar(0))
-
-    def test_toward_infinity(self):
-        assert direction_of(GAUSS, INFINITY).toward_infinity
-        # v(1/3) = -1 < 0: outside the unit disk, unbounded direction
-        assert direction_of(GAUSS, Q3.scalar(Fraction(1, 3))).toward_infinity
-
-    def test_direction_separation(self):
-        d0 = direction_of(GAUSS, Q3.scalar(0))
-        d1 = direction_of(GAUSS, Q3.scalar(1))
-        assert d0 != d1
-
-
 small_fractions = st.fractions(max_denominator=9)
 exps = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -140,13 +108,3 @@ class TestOrderJoinConsistency:
     def test_collinear_equality(self):
         x, y, z = pt(0, 3), pt(0, 2), pt(0, -1)
         assert hyp_dist(x, z) == hyp_dist(x, y) + hyp_dist(y, z)
-
-    @given(b1=small_fractions, b2=small_fractions)
-    @settings(max_examples=80)
-    def test_direction_equivalence(self, b1, b2):
-        x = GAUSS
-        s1, s2 = Q3.scalar(b1), Q3.scalar(b2)
-        if (s1 - x.center).valuation() < x.radius_exp or (s2 - x.center).valuation() < x.radius_exp:
-            return
-        same = (s1 - s2).valuation() > x.radius_exp
-        assert (direction_of(x, s1) == direction_of(x, s2)) == same

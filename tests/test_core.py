@@ -1,7 +1,8 @@
 """Properties of the core tree on small escaping p-adic polynomials of degree 2-4.
 
 Each tree is checked against brute-force searches over its own vertices
-with ``compare`` and ``BerkPoint ==``: levels, parents, vertex lookup, and
+with ``compare`` and ``BerkPoint ==``: levels, parents, vertex lookup,
+witnesses (every orbit value inside the disk), distinct vertices, and
 the paper's invariants (Riemann-Hurwitz degree = Taylor degree, edge images
 of length degree x length, dynamics maps ancestors to ancestors).
 """
@@ -95,6 +96,23 @@ def test_vertex_at_agrees_with_a_linear_search(tree):
             assert _linear_index(tree, image) == target
             assert any(tree.vertex_at(image.radius_exp, label) == target
                        for label in tree.vertices[target].witnesses)
+
+
+@settings(max_examples=40)
+@given(tree=TREES)
+def test_witnesses_are_the_orbit_values_inside(tree):
+    labels = sorted(tree._orbit)  # every materialized (mark, iterate)
+    for v in tree.vertices:
+        inside = [label for label in labels
+                  if (tree.orbit_value(*label) - v.point.center).valuation() >= v.point.radius_exp]
+        assert list(v.witnesses) == inside
+
+
+@settings(max_examples=40)
+@given(tree=TREES)
+def test_no_two_vertices_are_equal(tree):
+    points = [v.point for v in tree.vertices]
+    assert not any(points[i] == points[j] for i in range(len(points)) for j in range(i))
 
 
 @settings(max_examples=40)

@@ -19,7 +19,6 @@ from tamedyn.escape import (
     classification_report,
     classify_critical,
     iterate_pl_to_limit,
-    julia_in_affine,
 )
 from tamedyn.polynomial import MarkedPolynomial, PiecewiseMonomial
 from tamedyn.serialize import polynomial_from_json
@@ -168,20 +167,20 @@ class TestBoettcherModulus:
 
 class TestClassificationSuite:
     def test_tame_shift_locus(self):
-        assert julia_in_affine(quad(-1, 3)) is Classification.TAME_SHIFT_LOCUS
+        assert classification_report(quad(-1, 3))[0] is Classification.TAME_SHIFT_LOCUS
 
     def test_simple(self):
-        assert julia_in_affine(quad(0)) is Classification.SIMPLE
+        assert classification_report(quad(0))[0] is Classification.SIMPLE
 
     def test_has_bounded_fatou(self):
-        assert julia_in_affine(quad(-1)) is Classification.HAS_BOUNDED_FATOU
+        assert classification_report(quad(-1))[0] is Classification.HAS_BOUNDED_FATOU
 
     def test_julia_in_affine(self):
-        assert julia_in_affine(julia_cubic()) is Classification.JULIA_IN_AFFINE
+        assert classification_report(julia_cubic())[0] is Classification.JULIA_IN_AFFINE
 
     def test_certified_invariant_disk_classifies(self):
         # not a fixed critical point, so the disk verdict wins
-        assert julia_in_affine(quad(3), budget=12) is Classification.HAS_BOUNDED_FATOU
+        assert classification_report(quad(3), budget=12)[0] is Classification.HAS_BOUNDED_FATOU
 
     def test_unknown(self):
         f = MarkedPolynomial.from_critical_data(
@@ -192,7 +191,7 @@ class TestClassificationSuite:
             ],
             Q3.scalar(9),
         )
-        assert julia_in_affine(f, budget=12) is Classification.UNKNOWN
+        assert classification_report(f, budget=12)[0] is Classification.UNKNOWN
 
     def test_report_contains_records(self):
         cls, records = classification_report(quad(-1, 3))

@@ -120,6 +120,9 @@ MALFORMED = {
     "p a non-integral float": lambda: backend_from_json({"kind": "padic", "p": 5.7}),
     "p a bool": lambda: backend_from_json({"kind": "padic", "p": True}),
     "p a string": lambda: backend_from_json({"kind": "padic", "p": "5"}),
+    # once took minutes of trial division; primality is decided below this bound only
+    "p at the primality bound":
+        lambda: backend_from_json({"kind": "padic", "p": 3317044064679887385961981}),
     "ram_den a non-integral float":
         lambda: backend_from_json({"kind": "series", "precision": "8", "ram_den": 2.5}),
     "ram_den a bool":

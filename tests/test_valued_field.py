@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, QQ, Rational, multiplicity, symbols
+from sympy import Poly, QQ, Rational, isprime, multiplicity, nextprime, symbols
 
 from tamedyn.errors import (
     DivisionByZero,
@@ -12,7 +12,16 @@ from tamedyn.errors import (
     PreconditionViolated,
     RootUnavailable,
 )
-from tamedyn.valued_field import INF, PAdic, SeriesT, Val, int_valuation, nth_root_unit
+from tamedyn.valued_field import (
+    INF,
+    PRIME_BOUND,
+    PAdic,
+    SeriesT,
+    Val,
+    int_valuation,
+    is_prime,
+    nth_root_unit,
+)
 
 Q3 = PAdic(3)
 QT = SeriesT(precision=8, ram_den=2)
@@ -32,7 +41,6 @@ class TestVal:
         assert Val(1) + Val(F(1, 2)) == Val(F(3, 2))
         assert Val(3) - Val(1) == Val(2)
         assert (INF + Val(5)).is_infinite
-        assert Val(F(1, 2)).scaled(4) == Val(2)
         with pytest.raises(ValueError):
             INF - INF
 
@@ -94,6 +102,40 @@ class TestIntValuation:
         assert PAdic(p).scalar(q).valuation() == Val(expected)
 
 
+# composites that pass Fermat or Miller-Rabin tests to some prime bases: a
+# Carmichael number (a Fermat pseudoprime to every base prime to it), and
+# strong pseudoprimes to the bases 2..7, 2..31 and 2..37 (only base 41
+# exposes the last)
+PSEUDOPRIMES = [561, 3215031751, 3825123056546413051, 318665857834031151167461]
+BELOW_BOUND = st.integers(min_value=2, max_value=PRIME_BOUND - 1)
+LARGE_PRIMES = BELOW_BOUND.map(nextprime).filter(lambda n: n < PRIME_BOUND)
+
+
+class TestIsPrime:
+    """Miller-Rabin to the bases 2..41 against sympy.isprime."""
+
+    @given(n=st.one_of(st.integers(min_value=-10, max_value=10**5), BELOW_BOUND,
+                       LARGE_PRIMES, st.sampled_from(PSEUDOPRIMES),
+                       st.tuples(LARGE_PRIMES, LARGE_PRIMES).map(lambda ab: ab[0] * ab[1])
+                       .filter(lambda n: n < PRIME_BOUND)))
+    @settings(max_examples=300)
+    def test_matches_oracle(self, n):
+        assert is_prime(n) == isprime(n)
+
+    def test_pseudoprimes_are_composite(self):
+        assert not any(is_prime(n) for n in PSEUDOPRIMES)
+
+    def test_large_prime_backend(self):
+        assert PAdic(10**18 + 3).p == 10**18 + 3
+
+    def test_undecided_from_the_bound(self):
+        # the bound itself is a strong pseudoprime to all thirteen bases
+        with pytest.raises(ValueError):
+            is_prime(PRIME_BOUND)
+        with pytest.raises(ValueError):
+            PAdic(PRIME_BOUND)
+
+
 class TestFieldOps:
     def test_padic_basic(self):
         x = Q3.scalar(F(1, 3))
@@ -109,7 +151,7 @@ class TestFieldOps:
 
     def test_series_truncation_and_precision_loss(self):
         qt = SeriesT(precision=3)
-        t2 = qt.uniformizer_power(2)
+        t2 = qt.scalar(terms=[(2, 1)])
         with pytest.raises(PrecisionExhausted):
             t2 * t2  # t^4 has no representable term below cutoff 3
         # cancellation to exact zero is fine
