@@ -86,10 +86,10 @@ class RhoBound:
         return self.rho_exp.is_infinite
 
 
-def _first_exits(f: MarkedPolynomial, budget: int):
+def _first_exits(f: MarkedPolynomial):
     out = []
     for mark in f.marks:
-        rec = classify_critical(f, mark, budget)
+        rec = classify_critical(f, mark)
         if isinstance(rec, Unknown):
             raise BudgetExhausted(
                 f"critical mark at {mark.point!r} unresolved within budget"
@@ -99,7 +99,7 @@ def _first_exits(f: MarkedPolynomial, budget: int):
 
 
 def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
-                  precision=DEFAULT_PRECISION, budget: int = 64) -> RhoBound:
+                  precision=DEFAULT_PRECISION) -> RhoBound:
     """Compare the two coordinates along index-aligned escaping marks.
 
     Preconditions: equal degree, equal base exponent, index-aligned mark
@@ -121,8 +121,8 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
         raise NotComparable("marks are not index-aligned")
     if f.base_radius_exp != g.base_radius_exp:
         raise NotComparable("base points differ")
-    exits_f = _first_exits(f, budget)
-    exits_g = _first_exits(g, budget)
+    exits_f = _first_exits(f)
+    exits_g = _first_exits(g)
     if exits_f != exits_g:
         raise NotComparable(
             f"escape patterns differ: {exits_f} vs {exits_g}"

@@ -28,6 +28,8 @@ from tamedyn.errors import NotComparable, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import Scalar, Val
 
+PRECISION = Fraction(30)  # working precision of the coordinates at infinity
+
 
 @dataclass(frozen=True)
 class ClauseResult:
@@ -74,29 +76,26 @@ class ConjugacyMap:
     vertex_map: dict[int, int]
     translations: dict[int, Scalar]
     rho_bound: RhoBound
-    depth: int
-    precision: Fraction
 
 
 def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | None,
-                    depth: int = 4, budget: int = 64,
-                    precision=Fraction(30)) -> ConjugacyMap:
+                    depth: int = 4) -> ConjugacyMap:
     """Construct the label-transport map between the two trimmed trees.
 
-    Precondition: the coordinates are rho-close (checked first); raises
-    NotComparable otherwise, WellDefinednessFailure when label
-    coincidences fail to transfer at this closeness.
+    Precondition: rho is None or positive, and the coordinates are
+    rho-close (both checked first); raises NotComparable otherwise,
+    WellDefinednessFailure when label coincidences fail to transfer at
+    this closeness.
     """
-    precision = Fraction(precision)
-    bound = rho_closeness(f, g, precision=precision, budget=budget)
+    if rho is not None and rho <= 0:
+        raise NotComparable("rho must be positive")
+    bound = rho_closeness(f, g, precision=PRECISION)
     if rho is not None and not bound.is_infinite and bound.rho_exp < Val(rho):
         raise NotComparable(
             f"coordinates are only {bound.rho_exp}-close, below required {rho}"
         )
-    if rho is not None and rho <= 0:
-        raise NotComparable("rho must be positive")
-    source = build_core(f, rho=rho, depth=depth, budget=budget)
-    target = build_core(g, rho=rho, depth=depth, budget=budget)
+    source = build_core(f, rho=rho, depth=depth)
+    target = build_core(g, rho=rho, depth=depth)
 
     vertex_map: dict[int, int] = {}
     translations: dict[int, Scalar] = {}
@@ -140,13 +139,11 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
         raise WellDefinednessFailure(
             "target tree has vertices with no source counterpart",
         )
-    return ConjugacyMap(source, target, vertex_map, translations, bound,
-                        depth, precision)
+    return ConjugacyMap(source, target, vertex_map, translations, bound)
 
 
-def verify_extendable(h: ConjugacyMap, precision=None) -> VerificationReport:
+def verify_extendable(h: ConjugacyMap) -> VerificationReport:
     """Check the four extendability clauses on the truncations."""
-    precision = Fraction(precision) if precision is not None else h.precision
     src, tgt = h.source, h.target
     fmap = h.vertex_map
 
@@ -241,8 +238,8 @@ def verify_extendable(h: ConjugacyMap, precision=None) -> VerificationReport:
             continue
         wf = src.orbit_value(*label)
         wg = tgt.orbit_value(*label)
-        pf = phi_eval(src.f, wf, precision)
-        pg = phi_eval(tgt.f, wg, precision)
+        pf = phi_eval(src.f, wf, PRECISION)
+        pg = phi_eval(tgt.f, wg, PRECISION)
         if not ((pf - pg).valuation() >= Val(q)):
             boettcher = ClauseResult(
                 "fail",

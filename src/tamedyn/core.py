@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare
-from tamedyn.escape import Escaping, Unknown, classify_critical
+from tamedyn.escape import DEFAULT_BUDGET, Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import Scalar, Val
 
 DEFAULT_DEPTH = 3
-DEFAULT_BUDGET = 64
 
 DiskKey = tuple[Fraction, int]  # (radius exponent, least pool index inside)
 

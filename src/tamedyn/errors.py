@@ -16,7 +16,8 @@ class DivisionByZero(TamedynError):
 
 
 class PrecisionExhausted(TamedynError):
-    """A SeriesT result has no representable term below the cutoff."""
+    """A SeriesT result is not representable: it has no term below the
+    cutoff, or a sum spans more than MAX_SERIES_SPAN exponent indices."""
 
 
 class RootUnavailable(TamedynError):

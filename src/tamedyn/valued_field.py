@@ -9,9 +9,10 @@ Backends:
   rationals whose denominator divides ``ram_den``; every result is
   truncated to exponents strictly below ``precision`` (arithmetic modulo
   the truncation ideal).  This models a residue-characteristic-0 field,
-  so every polynomial over it is tame.  A product is one big-integer
-  multiplication (Kronecker substitution, see ``_series_product``) and a
-  sum one merge of the two sorted term tuples.
+  so every polynomial over it is tame.  A scalar is integer numerators
+  over one denominator at integer exponent indices (see :class:`Scalar`);
+  a product is one big-integer multiplication (Kronecker substitution,
+  see ``_series_product``) and a sum one addition of integer vectors.
 
 Absolute values are never materialized: |x| = base^(-v(x)) is carried
 around as the exact rational exponent v(x), wrapped in :class:`Val`.
@@ -223,7 +224,7 @@ class PAdic:
 class SeriesT:
     """Backend: truncated Puiseux series over Q with t-adic valuation."""
 
-    __slots__ = ("precision", "ram_den")
+    __slots__ = ("precision", "ram_den", "cutoff_index")
 
     def __init__(self, precision: Rat, ram_den: int = 1):
         precision = _as_fraction(precision)
@@ -233,6 +234,8 @@ class SeriesT:
             raise ValueError("ramification denominator must be >= 1")
         self.precision = precision
         self.ram_den = ram_den
+        # exponent k/ram_den is below the cutoff exactly when k < cutoff_index
+        self.cutoff_index = math.ceil(precision * ram_den)
 
     def __eq__(self, other):
         return (
@@ -260,52 +263,52 @@ class SeriesT:
     def scalar(self, value=0, terms: Iterable[tuple[Rat, Rat]] | None = None) -> "Scalar":
         """Build a series scalar from a constant or from (exponent, coeff) pairs."""
         if terms is None:
-            c = _as_fraction(value)
-            terms = [] if c == 0 else [(Fraction(0), c)]
-        acc: dict[Fraction, Fraction] = {}
+            terms = [(0, value)]
+        acc = self.zero
         for e, c in terms:
             e = _as_fraction(e)
             c = _as_fraction(c)
             self._check_exponent(e)
-            if c != 0 and e < self.precision:
-                acc[e] = acc.get(e, Fraction(0)) + c
-        tup = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        return Scalar(self, terms=tup)
+            k = e.numerator * (self.ram_den // e.denominator)
+            if c != 0 and k < self.cutoff_index:
+                acc = acc + Scalar(self, series=(k, (c.numerator,), c.denominator))
+        return acc
 
     @property
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return Scalar(self, series=(0, (), 1))
 
     @property
     def one(self) -> "Scalar":
-        return self.scalar(1)
-
-    @property
-    def t(self) -> "Scalar":
-        return self.scalar(terms=[(1, 1)])
+        return Scalar(self, series=(0, (1,), 1))
 
 
 Backend = Union[PAdic, SeriesT]
+
+MAX_SERIES_SPAN = 1 << 20
+"""Most exponent indices a series sum may span: its numerators are stored
+densely, so a wider sum raises PrecisionExhausted instead of allocating."""
 
 
 class Scalar:
     """An exact element of the backend field.
 
-    Immutable.  PAdic scalars hold a Fraction; SeriesT scalars hold a
-    sorted tuple of (exponent, coefficient) pairs with nonzero rational
-    coefficients and exponents strictly below the cutoff.  Series
-    arithmetic keeps the tuple sorted without sorting: ``+`` merges the two
-    tuples and ``*`` reads the product's coefficients in exponent order from
-    one big-integer product.
+    Immutable.  PAdic scalars hold a Fraction.  SeriesT scalars hold one
+    canonical triple ``(k0, nums, den)`` standing for the series
+    sum_i nums[i]/den * t^((k0 + i)/ram_den), every index below the
+    cutoff: ``nums`` is a tuple of ints with nonzero first and last
+    entries, ``den > 0`` and gcd(den, *nums) = 1; zero is ``(0, (), 1)``.
+    Equal values have equal triples, so ``==`` and ``hash`` compare
+    values.  ``terms`` is the derived (exponent, coefficient) view.
     """
 
-    __slots__ = ("backend", "_rat", "_terms")
+    __slots__ = ("backend", "_rat", "_series")
 
     def __init__(self, backend: Backend, rational: Fraction | None = None,
-                 terms: tuple[tuple[Fraction, Fraction], ...] | None = None):
+                 series: tuple[int, tuple[int, ...], int] | None = None):
         self.backend = backend
         self._rat = rational
-        self._terms = terms
+        self._series = series
 
     # -- structure ----------------------------------------------------
 
@@ -313,7 +316,7 @@ class Scalar:
     def is_zero(self) -> bool:
         if self._rat is not None:
             return self._rat == 0
-        return not self._terms
+        return not self._series[1]
 
     @property
     def rational(self) -> Fraction:
@@ -323,9 +326,12 @@ class Scalar:
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        if self._terms is None:
+        """The nonzero terms c*t^e as sorted (e, c) pairs (SeriesT only)."""
+        if self._series is None:
             raise TypeError("not a SeriesT scalar")
-        return self._terms
+        k0, nums, den = self._series
+        r = self.backend.ram_den
+        return tuple([(Fraction(k, r), Fraction(n, den)) for k, n in enumerate(nums, k0) if n])
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -333,16 +339,16 @@ class Scalar:
         return (
             self.backend == other.backend
             and self._rat == other._rat
-            and self._terms == other._terms
+            and self._series == other._series
         )
 
     def __hash__(self):
-        return hash((self.backend, self._rat, self._terms))
+        return hash((self.backend, self._rat, self._series))
 
     def __repr__(self):
         if self._rat is not None:
             return f"Scalar({self._rat})"
-        body = " + ".join(f"({c})*t^({e})" for e, c in self._terms) or "0"
+        body = " + ".join(f"({c})*t^({e})" for e, c in self.terms) or "0"
         return f"Scalar({body})"
 
     def _require_same_backend(self, other: "Scalar"):
@@ -358,9 +364,10 @@ class Scalar:
                 return INF
             p = self.backend.p
             return Val(int_valuation(q.numerator, p) - int_valuation(q.denominator, p))
-        if not self._terms:
+        k0, nums, _ = self._series
+        if not nums:
             return INF
-        return Val(self._terms[0][0])
+        return Val(Fraction(k0, self.backend.ram_den))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -368,12 +375,29 @@ class Scalar:
         self._require_same_backend(other)
         if self._rat is not None:
             return Scalar(self.backend, rational=self._rat + other._rat)
-        return Scalar(self.backend, terms=_merge_sum(self._terms, other._terms))
+        ka, na, da = self._series
+        kb, nb, db = other._series
+        if not na:
+            return other
+        if not nb:
+            return self
+        den = math.lcm(da, db)
+        k0 = min(ka, kb)
+        span = max(ka + len(na), kb + len(nb)) - k0
+        if span > MAX_SERIES_SPAN:
+            raise PrecisionExhausted(f"sum spans {span} exponent indices, above {MAX_SERIES_SPAN}")
+        out = [0] * span
+        for k, n, m in ((ka - k0, na, den // da), (kb - k0, nb, den // db)):
+            for i, x in enumerate(n, k):
+                out[i] += x * m
+        return _series_scalar(self.backend, k0, out, den)
 
     def __neg__(self) -> "Scalar":
         if self._rat is not None:
             return Scalar(self.backend, rational=-self._rat)
-        return Scalar(self.backend, terms=tuple((e, -c) for e, c in self._terms))
+        k0, nums, den = self._series
+        # from a list: tuples built from generators are resized, then hoarded on free lists
+        return Scalar(self.backend, series=(k0, tuple([-n for n in nums]), den))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -382,17 +406,17 @@ class Scalar:
         self._require_same_backend(other)
         if self._rat is not None:
             return Scalar(self.backend, rational=self._rat * other._rat)
-        if not self._terms or not other._terms:
+        if not self._series[1] or not other._series[1]:
             return self.backend.zero
-        return Scalar(self.backend, terms=_series_product(self.backend, self._terms, other._terms))
+        return _series_product(self.backend, self._series, other._series)
 
     def _series_inverse(self) -> "Scalar":
-        e0, c0 = self._terms[0]
+        k0, nums, den = self._series
         backend = self.backend
         # x = c0 t^e0 (1 + h), v(h) > 0: invert the unit via 1/(1+h) = sum (-h)^k.
-        lead_inv = backend.scalar(terms=[(-e0, 1 / c0)])
-        h_terms = tuple((e - e0, c / c0) for e, c in self._terms[1:] if e - e0 < backend.precision)
-        h = Scalar(backend, terms=h_terms)
+        inv_c0 = Fraction(den, nums[0])
+        lead_inv = backend.scalar(terms=[(Fraction(-k0, backend.ram_den), inv_c0)])
+        h = _series_scalar(backend, 1, nums[1:backend.cutoff_index], den).scale(inv_c0)
         acc = backend.one
         if not h.is_zero:
             term = backend.one
@@ -439,9 +463,9 @@ class Scalar:
         q = _as_fraction(q)
         if self._rat is not None:
             return Scalar(self.backend, rational=self._rat * q)
-        if q == 0:
-            return self.backend.zero
-        return Scalar(self.backend, terms=tuple((e, c * q) for e, c in self._terms))
+        k0, nums, den = self._series
+        return _series_scalar(self.backend, k0, [n * q.numerator for n in nums],
+                              den * q.denominator)
 
     # -- p-adic representative reduction --------------------------------
 
@@ -465,99 +489,74 @@ class Scalar:
         return Scalar(self.backend, rational=Fraction(value))
 
 
-def _merge_sum(a: tuple, b: tuple) -> tuple:
-    """The sum of two sorted series term tuples, merged in one pass."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ea, ca = a[i]
-        eb, cb = b[j]
-        if ea < eb:
-            out.append(a[i])
-            i += 1
-        elif eb < ea:
-            out.append(b[j])
-            j += 1
-        else:
-            c = ca + cb
-            if c:
-                out.append((ea, c))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _series_scalar(backend: SeriesT, k0: int, nums: list, den: int) -> Scalar:
+    """The canonical scalar sum_i nums[i]/den * t^((k0 + i)/ram_den), for
+    den > 0 and indices below the cutoff: zeros trimmed at both ends and
+    the common factor of den and the numerators divided out."""
+    lo, hi = 0, len(nums)
+    while hi > lo and not nums[hi - 1]:
+        hi -= 1
+    while lo < hi and not nums[lo]:
+        lo += 1
+    if lo == hi:
+        return backend.zero
+    nums = nums[lo:hi]
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums = [n // g for n in nums]
+    return Scalar(backend, series=(k0 + lo, tuple(nums), den // g))
 
 
-def _integral(terms: tuple, ram_den: int, k0: int, slots: int):
-    """The terms c*t^e of a series with index i = e*ram_den - k0 below `slots`,
-    as (indices, numerators n, common denominator D) with c = n/D."""
-    indices, coeffs = [], []
-    for e, c in terms:
-        i = e.numerator * (ram_den // e.denominator) - k0
-        if i >= slots:
-            break
-        indices.append(i)
-        coeffs.append(c)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return indices, [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _pack(indices: list, nums: list, nbytes: int) -> int:
+def _pack(nums, nbytes: int) -> int:
     """sum n * 2^(8*nbytes*i): the numerators in slots of `nbytes` bytes."""
-    pos = bytearray(nbytes * (indices[-1] + 1))
+    pos = bytearray(nbytes * len(nums))
     neg = bytearray(len(pos))
-    for i, n in zip(indices, nums):
+    for i, n in enumerate(nums):
         if n > 0:
             pos[i * nbytes:(i + 1) * nbytes] = n.to_bytes(nbytes, "little")
-        else:
+        elif n < 0:
             neg[i * nbytes:(i + 1) * nbytes] = (-n).to_bytes(nbytes, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _series_product(backend: SeriesT, a: tuple, b: tuple) -> tuple:
-    """The terms of a*b below the cutoff, for nonzero series a and b.
+def _series_product(backend: SeriesT, a: tuple, b: tuple) -> Scalar:
+    """a*b below the cutoff, for the series forms a and b of nonzero scalars.
 
-    Kronecker substitution: with r = ram_den, each operand becomes an
-    integer polynomial in X = t^(1/r) (exponents shifted by the lowest, the
-    coefficients over one common denominator) and is packed into one big
-    int by X = 2^w; a single big-int multiplication then gives every
-    coefficient of the product as one w-bit slot.  Each coefficient is a
-    sum of at most min(len a, len b) products n_a * n_b, so with w >=
+    Kronecker substitution: with r = ram_den, each operand's numerators
+    are an integer polynomial in X = t^(1/r) (shifted by its lowest index),
+    packed into one big int by X = 2^w; a single big-int multiplication
+    then gives every numerator of the product as one w-bit slot.  Each is
+    a sum of at most min(len a, len b) products n_a * n_b, so with w >=
     bits(max |n_a|) + bits(max |n_b|) + bits(min(len a, len b)) + 1 it lies
     strictly inside +-2^(w-1) and its slot holds it as a balanced signed
     digit.  Truncation at the cutoff is reading only the slots below it.
     """
-    r = backend.ram_den
-    ka0 = a[0][0].numerator * (r // a[0][0].denominator)
-    kb0 = b[0][0].numerator * (r // b[0][0].denominator)
-    k0 = ka0 + kb0
-    slots = math.ceil(backend.precision * r) - k0
+    ka, na, da = a
+    kb, nb, db = b
+    k0 = ka + kb
+    slots = backend.cutoff_index - k0
     if slots <= 0:
         # The lowest term of a product of nonzero series is nonzero, so
         # the product is zero only when all of it fell past the cutoff.
         raise PrecisionExhausted("product has no representable term below the cutoff")
-    ia, na, da = _integral(a, r, ka0, slots)
-    ib, nb, db = _integral(b, r, kb0, slots)
+    na, nb = na[:slots], nb[:slots]
     width = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
              + min(len(na), len(nb)).bit_length() + 1)
     nbytes = (width + 7) // 8
-    slots = min(slots, ia[-1] + ib[-1] + 1)  # the product has no higher term
-    product = _pack(ia, na, nbytes) * _pack(ib, nb, nbytes)
+    slots = min(slots, len(na) + len(nb) - 1)  # the product has no higher term
+    product = _pack(na, nbytes) * _pack(nb, nbytes)
     # the low slots of the product, in two's complement when it is negative
     raw = (product & ((1 << (8 * nbytes * slots)) - 1)).to_bytes(nbytes * slots, "little")
     half = 1 << (8 * nbytes - 1)
-    den = da * db
-    terms = []
+    nums = []
     carry = 0
-    for i in range(slots):
-        n = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") + carry
+    for i in range(0, nbytes * slots, nbytes):
+        n = int.from_bytes(raw[i:i + nbytes], "little") + carry
         carry = n >= half
         if carry:
             n -= half << 1
-        if n:
-            terms.append((Fraction(k0 + i, r), Fraction(n, den)))
-    return tuple(terms)
+        nums.append(n)
+    return _series_scalar(backend, k0, nums, da * db)
 
 
 def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:

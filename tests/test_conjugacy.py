@@ -50,3 +50,17 @@ def test_target_vertex_without_source_counterpart():
     with pytest.raises(WellDefinednessFailure, match="no source counterpart"):
         build_conjugacy(cubic5(Fraction(1, 5), Fraction(1, 25)),
                         cubic5(Fraction(2, 5), Fraction(1, 125)), None, depth=3)
+
+
+@pytest.mark.parametrize("rho", [Fraction(0), Fraction(-1)])
+def test_non_positive_rho_is_refused_before_any_orbit_work(rho):
+    # z^4 - (2/9)z^2 + 9 over PAdic(3): the orbits of its critical marks hit
+    # the height guard, so comparing the coordinates first would end in
+    # BudgetExhausted instead
+    f = polynomial_from_json({
+        "backend": {"kind": "padic", "p": 3},
+        "marks": [{"c": c, "mult": 2} for c in ("0", "1/3", "-1/3")],
+        "b": "9",
+    })
+    with pytest.raises(NotComparable, match="rho must be positive"):
+        build_conjugacy(f, f, rho)

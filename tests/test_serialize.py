@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tamedyn.berkovich import BerkPoint
@@ -276,6 +276,11 @@ def mutated_documents(draw):
 
 @settings(max_examples=1000)
 @given(doc=mutated_documents())
+# a mark about 2*10^10 exponent indices below the other one
+@example(doc={"backend": {"kind": "series", "precision": "12", "ram_den": 2},
+              "marks": [{"c": [[-22677249774.0, "1"]], "mult": 2},
+                        {"c": [["-1/2", "-1"]], "mult": 2}],
+              "b": [["-2", "1"], ["1", "3/4"]]})
 def test_mutated_polynomial_raises_only_package_errors(doc):
     try:
         polynomial_from_json(doc)

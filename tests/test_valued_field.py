@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, QQ, Rational, isprime, multiplicity, nextprime, symbols
+from sympy import Poly, QQ, Rational, invert, isprime, multiplicity, nextprime, symbols
 
 from tamedyn.errors import (
     DivisionByZero,
@@ -14,6 +14,7 @@ from tamedyn.errors import (
 )
 from tamedyn.valued_field import (
     INF,
+    MAX_SERIES_SPAN,
     PRIME_BOUND,
     PAdic,
     SeriesT,
@@ -323,6 +324,100 @@ class TestSeriesArithmeticOracle:
         middle = product[length - 1][1]
         assert middle == signs[0] * signs[1] * length * ((1 << bits_a) - 1) * ((1 << bits_b) - 1)
         assert abs(middle).numerator.bit_length() == bits_a + bits_b + length_bits
+
+
+def _unit(terms: dict[int, Fraction], top: int, lead=None) -> dict[int, Fraction]:
+    """The terms shifted to lowest index 0 and cut above index top; with
+    lead, the coefficient at index 0 replaced by it."""
+    low = min(terms)
+    out = {k - low: c for k, c in terms.items() if k - low <= top}
+    if lead is not None:
+        out[0] = lead
+    return out
+
+
+def _mod_cutoff(poly, r: int, cutoff: Fraction):
+    """poly in X = t^(1/r) without its terms at exponents at or past the cutoff."""
+    return poly.rem(Poly(X ** math.ceil(cutoff * r), X, domain=QQ))
+
+
+class TestSeriesCanonicalForm:
+    """Equal series values are equal scalars with equal hashes however they
+    were built, and -, scale, / and n-th roots of units agree with sympy."""
+
+    @given(case=series_pairs(), q=COEFFS)
+    @settings(max_examples=150)
+    def test_equal_values_built_different_ways(self, case, q):
+        r, cutoff, a, b = case
+        x, y = _series(r, cutoff, a), _series(r, cutoff, b)
+        backend = x.backend
+        for z in ((x + y) - y, backend.scalar(terms=x.terms), x.scale(q).scale(1 / q),
+                  -(-x), (y + x) + (-y)):
+            assert z == x and hash(z) == hash(x)
+
+    @given(case=series_pairs())
+    @settings(max_examples=100)
+    def test_cancellation_gives_zero(self, case):
+        r, cutoff, a, b = case
+        x, y = _series(r, cutoff, a), _series(r, cutoff, b)
+        zero = x.backend.zero
+        for z in (x - x, (x + y) - (y + x), x.scale(0), x + x.scale(-1)):
+            assert z == zero and hash(z) == hash(zero) and z.is_zero
+            assert z.valuation() == INF and z.terms == ()
+
+    @given(case=series_pairs(), q=COEFFS)
+    @settings(max_examples=100)
+    def test_negation_and_scaling(self, case, q):
+        r, cutoff, a, _ = case
+        x = _series(r, cutoff, a)
+        pa, sa = _sympy_poly(a)
+        assert (-x).terms == _oracle_terms(-pa, sa, r, cutoff)
+        q_sym = Rational(q.numerator, q.denominator)
+        assert x.scale(q).terms == _oracle_terms(pa * q_sym, sa, r, cutoff)
+
+    @given(case=series_pairs())
+    @settings(max_examples=100)
+    def test_division_of_units(self, case):
+        r, cutoff, a, b = case
+        top = math.ceil(cutoff * r) - 1
+        a, b = _unit(a, top), _unit(b, top)
+        x, y = _series(r, cutoff, a), _series(r, cutoff, b)
+        (pa, _), (pb, _) = _sympy_poly(a), _sympy_poly(b)
+        inverse = invert(pb, Poly(X ** (top + 1), X, domain=QQ))
+        assert (x / y).terms == _oracle_terms(_mod_cutoff(pa * inverse, r, cutoff), 0, r, cutoff)
+
+    @given(case=series_pairs(), n=st.integers(2, 4))
+    @settings(max_examples=50)
+    def test_nth_root_of_units(self, case, n):
+        # the root with constant term 1 is unique modulo the cutoff, so
+        # w^n = u there identifies it
+        r, cutoff, a, _ = case
+        a = _unit(a, math.ceil(cutoff * r) - 1, lead=Fraction(1))
+        u = _series(r, cutoff, a)
+        w = nth_root_unit(u, n)
+        assert w.terms[0] == (0, 1)
+        pw, _ = _sympy_poly({int(e * r): c for e, c in w.terms})
+        assert _oracle_terms(_mod_cutoff(pw ** n, r, cutoff), 0, r, cutoff) == u.terms
+
+
+class TestSeriesSpan:
+    """Numerators are stored densely, so a sum may span at most
+    MAX_SERIES_SPAN exponent indices."""
+
+    def test_sum_at_the_bound(self):
+        qt = SeriesT(precision=3)
+        low = -(MAX_SERIES_SPAN - 1)
+        total = qt.scalar(terms=[(low, 2)]) + qt.one
+        assert total.terms == ((F(low), F(2)), (F(0), F(1)))
+        assert total == qt.scalar(terms=[(0, 1), (low, 2)])
+
+    @pytest.mark.parametrize("gap", [MAX_SERIES_SPAN, 22677249774, 10 ** 300])
+    def test_wider_sum_raises_exhaustion(self, gap):
+        qt = SeriesT(precision=3)
+        with pytest.raises(PrecisionExhausted, match="spans"):
+            qt.scalar(terms=[(-gap, 1)]) + qt.one
+        with pytest.raises(PrecisionExhausted, match="spans"):
+            qt.scalar(terms=[(-gap, 1), (0, 1)])
 
 
 class TestNthRootUnit:
