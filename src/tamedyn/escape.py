@@ -1,10 +1,16 @@
 """Orbit classification of critical points and the basin-of-infinity tests.
 
 Escape is decided by exact iteration: the orbit leaves the base disk or
-it does not within the budget.  Non-escape is only ever certified
-structurally, from an exact cycle of orbit values; the kind of the
+it does not within the budget.  Non-escape is certified in two ways.
+An exact cycle of orbit values makes the mark bounded; the kind of its
 bounded component is then resolved by pulling the base point back along
-the orbit with exact piecewise-linear inversions.
+the orbit with exact piecewise-linear inversions.  Over PAdic with base
+exponent 0 the unit disk maps into itself, so every mark is bounded and
+the only question is whether its orbit cycles.  A rational point is
+preperiodic only if its orbit is bounded at every place of Q
+(Call-Silverman), so an orbit value that escapes at the real place or at
+a prime q != p (see `_wanders`) proves that the orbit never cycles, and
+the component is the whole disk.
 
 For an eventually periodic orbit the ray maps of one period compose to
 a single exact ray map F (a min of lines k*q + v), and the pullback over
@@ -119,13 +125,33 @@ def iterate_pl_to_limit(F: PiecewiseMonomial, start: Fraction):
     raise AssertionError("piece-jumping failed to settle")
 
 
+def _wanders(f: MarkedPolynomial, z: Fraction) -> bool:
+    """Whether the orbit of z = N/M under a PAdic f of base exponent 0
+    provably never repeats a value.
+
+    With L the lcm of the coefficient denominators, either test shows that
+    the orbit leaves every bounded set at some place other than p:
+    - at the real place, |z| > R = 1 + sum_{i<d} |a_i|: then
+      |f(z)| > |z|^(d-1) >= |z| > R, so the absolute values increase;
+    - at a prime q, M does not divide L: then v_q(M) > v_q(L) for some q,
+      which is not p since v_p(z) >= 0, and v_q(z) < -v_q(L) <= the
+      q-adic base exponent, so v_q(f^n(z)) = d^n v_q(z) decreases.
+    """
+    n, m = z.numerator, z.denominator
+    L = f._den
+    return abs(n) * L > f._real_bound * m or m > L or L % m != 0
+
+
 def _orbit_until_exit(f: MarkedPolynomial, start: Scalar, budget: int):
     """("escape", m, values) on first exit, ("cycle", (preperiod, period),
-    values), or ("unknown", n, values)."""
+    values), or ("unknown", n, values) when no cycle was found by step n:
+    the budget ran out, the height guard tripped, or `_wanders` proved
+    that none will be."""
     base = Val(f.base_radius_exp)
     values = [start]
     if start.valuation() < base:
         return "escape", 0, values
+    certify = f._int_coeffs is not None and f.base_radius_exp == 0
     seen = {start: 0}
     z = start
     for n in range(1, budget + 1):
@@ -135,7 +161,7 @@ def _orbit_until_exit(f: MarkedPolynomial, start: Scalar, budget: int):
             return "escape", n, values
         if z in seen:
             return "cycle", (seen[z], n - seen[z]), values
-        if _height_bits(z) > MAX_HEIGHT_BITS:
+        if (certify and _wanders(f, z.rational)) or _height_bits(z) > MAX_HEIGHT_BITS:
             return "unknown", n, values
         seen[z] = n
         values.append(z)
@@ -184,7 +210,10 @@ def _classify(f: MarkedPolynomial, mark: CriticalMark, budget: int) -> EscapeRec
         if f.base_radius_exp == 0:
             # base exponent 0 forces integral coefficients, so the unit
             # disk maps into itself and equals the filled Julia set: the
-            # mark is bounded with the full disk as its component
+            # mark is bounded with the full disk as its component.  The
+            # orbit stopped without a cycle: over PAdic its escape at the
+            # real place or at a prime q != p (`_wanders`) proves none will
+            # come; otherwise the height guard or the budget ended the search
             return Bounded("disk", diam_exp=Fraction(0))
         return Unknown(data)
     preperiod, period = data

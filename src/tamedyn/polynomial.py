@@ -154,12 +154,21 @@ class MarkedPolynomial:
         self._tameness: TamenessReport | None = None
         self._records: dict = {}  # (mark, budget) -> EscapeRecord, kept by escape.classify_critical
         self._verify()
-        # over PAdic: the coefficients times L, the lcm of their denominators
+        # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2
+        self.base_radius_exp = Fraction(0)
+        for i in range(self.degree - 1):
+            v = self.coeffs[i].valuation()
+            if not v.is_infinite:
+                self.base_radius_exp = min(self.base_radius_exp, v.finite / (self.degree - i))
+        # over PAdic: the coefficients times L, the lcm of their denominators,
+        # and L*R for R = 1 + sum_{i<d} |a_i|: an orbit value beyond R
+        # escapes at the real place (see escape._wanders)
         self._int_coeffs: tuple[int, ...] | None = None
         if isinstance(self.backend, PAdic):
             rats = [c.rational for c in self.coeffs]
             self._den = math.lcm(*(a.denominator for a in rats))
             self._int_coeffs = tuple(a.numerator * (self._den // a.denominator) for a in rats)
+            self._real_bound = self._den + sum(abs(c) for c in self._int_coeffs[:-1])
 
     # -- construction ---------------------------------------------------
 
@@ -238,7 +247,7 @@ class MarkedPolynomial:
     def __call__(self, z: Scalar) -> Scalar:
         if self._int_coeffs is None:
             return poly_eval(list(self.coeffs), z, self.backend.zero)
-        if z.backend != self.backend:
+        if z.backend is not self.backend and z.backend != self.backend:
             raise TypeError("mixed backends")
         return Scalar(self.backend, rational=self._eval_rational(z.rational))
 
@@ -278,17 +287,6 @@ class MarkedPolynomial:
         return f"MarkedPolynomial(degree={self.degree}, marks={len(self.marks)})"
 
     # -- base point -------------------------------------------------------
-
-    @property
-    def base_radius_exp(self) -> Fraction:
-        """Exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2."""
-        d = self.degree
-        best = Fraction(0)
-        for i in range(d - 1):
-            v = self.coeffs[i].valuation()
-            if not v.is_infinite:
-                best = min(best, v.finite / (d - i))
-        return best
 
     def base_point(self) -> BerkPoint:
         return BerkPoint(self.backend.zero, Val(self.base_radius_exp))

@@ -352,7 +352,7 @@ class Scalar:
         return f"Scalar({body})"
 
     def _require_same_backend(self, other: "Scalar"):
-        if self.backend != other.backend:
+        if self.backend is not other.backend and self.backend != other.backend:
             raise TypeError("mixed backends")
 
     # -- valuation ----------------------------------------------------

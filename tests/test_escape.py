@@ -287,3 +287,105 @@ class TestClassifyOnce:
         f = _padic(*ONCE_CASES["unknown quartic"])
         assert classify_critical(f, f.marks[0], budget=3) == Unknown(3)
         assert classify_critical(f, f.marks[0]) == Unknown(9)
+
+
+def _guard_only_record(f, mark, budget=escape.DEFAULT_BUDGET):
+    """The record of exact iteration without the wandering certificate: a
+    cycle, an exit, or the whole unit disk once the height guard or the
+    budget stops the orbit (base exponent 0 only)."""
+    base = Val(f.base_radius_exp)
+    z = mark.point
+    values, seen = [z], {z: 0}
+    for n in range(1, budget + 1):
+        z = f(z)
+        if z.valuation() < base:
+            return Escaping(n)
+        if z in seen:
+            return escape._resolve_bounded(f, values, seen[z], n - seen[z])
+        if escape._height_bits(z) > escape.MAX_HEIGHT_BITS:
+            break
+        seen[z] = n
+        values.append(z)
+    return Bounded("disk", diam_exp=F(0))
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def base0_padic_maps(draw):
+    """z^2 + b over PAdic(3|5|7), or a cubic over PAdic(5|7) with marks +-c
+    (z^3 + b when c = 0), of base exponent 0."""
+    degree = draw(st.sampled_from([2, 3]))
+    backend = PAdic(draw(st.sampled_from([3, 5, 7] if degree == 2 else [5, 7])))
+    c = draw(SMALL_RATIONALS) if degree == 3 else F(0)
+    if c == 0:
+        marks = [(backend.scalar(0), degree)]
+    else:
+        marks = [(backend.scalar(c), 2), (backend.scalar(-c), 2)]
+    f = MarkedPolynomial.from_critical_data(marks, backend.scalar(draw(SMALL_RATIONALS)))
+    assume(f.base_radius_exp == 0)
+    return f
+
+
+class TestWanderingCertificate:
+    """At base exponent 0 over PAdic an orbit that escapes at the real place
+    or at a prime q != p is certified never to cycle."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("b, orbit", [
+        # 0 -> -2 -> 2 -> 2: every value inside |z| <= R = 3
+        (F(-2), [F(0), F(-2), F(2)]),
+        # fixed points 3/2 and -1/2: denominator 2 divides L = 4
+        (F(-3, 4), [F(3, 2), F(-1, 2)]),
+        # -1 -> 1 -> 1: the fixed point 1 lies on the circle |z| = R = 1
+        (F(0), [F(-1), F(1)]),
+    ])
+    def test_never_fires_on_a_cycle(self, p, b, orbit):
+        f = quad(b.numerator, b.denominator, backend=PAdic(p))
+        for z in orbit:
+            assert not escape._wanders(f, z)
+            status, _, _ = escape._orbit_until_exit(f, f.backend.scalar(z), escape.DEFAULT_BUDGET)
+            assert status == "cycle"
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=base0_padic_maps())
+    def test_records_match_the_guard_only_loop(self, f):
+        for mark in f.marks:
+            assert classify_critical(f, mark) == _guard_only_record(f, mark)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=base0_padic_maps())
+    def test_certified_orbits_never_repeat(self, f):
+        for mark in f.marks:
+            orbit, certified_at = [mark.point], None
+            while len(orbit) <= escape.DEFAULT_BUDGET:
+                z = f(orbit[-1])
+                if certified_at is None:
+                    if z in orbit:
+                        break
+                    if escape._wanders(f, z.rational):
+                        certified_at = len(orbit)
+                orbit.append(z)
+                if certified_at is not None and len(orbit) > certified_at + 6:
+                    assert len(set(orbit)) == len(orbit)
+                    break
+
+    @pytest.mark.parametrize("name", ["guarded quadratic", "guarded cubic"])
+    def test_guarded_orbits_stop_within_four_steps(self, monkeypatch, name):
+        # the polynomials of classify-quad3-guard.json and
+        # classify-cubic5-guard.json, whose orbits take 16-19 steps to
+        # reach the height guard
+        f = _padic(*ONCE_CASES[name])
+        evaluated = []
+        original = MarkedPolynomial.__call__
+
+        def counted(self, z):
+            evaluated.append(z)
+            return original(self, z)
+
+        monkeypatch.setattr(MarkedPolynomial, "__call__", counted)
+        for mark in f.marks:
+            evaluated.clear()
+            assert classify_critical(f, mark) == Bounded("disk", diam_exp=F(0))
+            assert len(evaluated) <= 4
