@@ -171,7 +171,9 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         for n in range(1, m + fwd + 1):
             w = f(w)
             orbit[(i, n)] = w
-    segs = {key: f.segment_dynamics(w) for key, w in orbit.items()}
+    # ray maps on every value with a successor: the last one of each orbit
+    # is never stepped from, forward, backward or by a rho cut
+    segs = {(i, n): f.segment_dynamics(w) for (i, n), w in orbit.items() if n < exits[i] + fwd}
 
     # candidate vertex centers: 0, the materialized orbit values and every
     # critical mark position, each distinct value once; disks and orbit

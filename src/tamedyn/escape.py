@@ -13,15 +13,16 @@ a prime q != p (see `_wanders`) proves that the orbit never cycles, and
 the component is the whole disk.
 
 For an eventually periodic orbit the ray maps of one period compose to
-a single exact ray map F (a min of lines k*q + v), and the pullback over
-the period is its inverse W = F^-1, a convex increasing piecewise-linear
-map (the max of the lines (q - v)/k).  Iterating W from the base
-exponent is decidable in closed form: on each affine piece the
-iteration either fixes, converges to the piece's affine fixed point
-(geometric sum, exact), or crosses into the next piece after an exactly
-computed number of steps.  A finite limit exponent means the critical
-point sits in a closed-disk component of that diameter; divergence
-means the component is the point itself.
+a single exact ray map F (a min of lines k*q + v, every k >= 1), and the
+pullback over the period is its inverse W = F^-1, continuous and
+increasing.  From the base exponent, where W does not move down, the
+iterates of W rise to the least fixed point of W at or above it, or grow
+without bound when there is none.  W and F have the same fixed points,
+and G(q) = F(q) - q is nondecreasing, so the first zero of G is the base
+exponent itself or the point -v/(k-1) where a line of slope k >= 2
+meets the diagonal.  A finite limit exponent means the critical point
+sits in a closed-disk component of that diameter; divergence means the
+component is the point itself.
 """
 
 from __future__ import annotations
@@ -82,47 +83,15 @@ def _height_bits(x: Scalar) -> int:
 def iterate_pl_to_limit(F: PiecewiseMonomial, start: Fraction):
     """Limit of r -> F.invert(r) from start, requiring F.invert(start) >= start.
 
-    Returns ("fixed", limit) or ("diverges", None).  Exact and total:
-    each affine piece is resolved in closed form.
+    Returns ("fixed", limit) or ("diverges", None): the least fixed point
+    of F at or above start, found among start and the points -v/(k-1)
+    where a line of slope k >= 2 meets the diagonal.
     """
-    # the inverse is the max of the lines r -> (r - v)/k; from the left
-    # its pieces are F's lines from the largest slope down, split at the
-    # images of F's corners
-    inverse = [(Fraction(1, k), Fraction(-v, k)) for k, v in reversed(F.lines)]
-    bounds = [F.image_exp(q) for q in F.breakpoints()]
-    pieces = [(bounds[i - 1] if i > 0 else None, bounds[i] if i < len(bounds) else None, s, b)
-              for i, (s, b) in enumerate(inverse)]
-    r = start
-    for _ in range(len(pieces) + 2):
-        w = F.invert(r)
-        if w == r:
-            return "fixed", r
-        if w < r:
-            raise AssertionError("pullback iteration must be nondecreasing")
-        # piece carrying the forward motion at r (highest slope attaining)
-        idx = max(i for i, (lo, hi, s, b) in enumerate(pieces)
-                  if (lo is None or r >= lo) and s * r + b == w)
-        lo, hi, s, b = pieces[idx]
-        if s == 1:
-            if hi is None:
-                return "diverges", None
-            step = w - r
-            n = -((r - hi) // step)  # ceil((hi - r)/step)
-            r = r + n * step
-        else:
-            # s < 1 strictly on pullbacks; affine fixed point of the piece
-            fix = b / (1 - s)
-            if hi is None or fix <= hi:
-                return "fixed", fix
-            # cross hi after exactly n steps: (fix - r) s^n <= fix - hi
-            gap = fix - r
-            target = fix - hi
-            n = 0
-            while gap > target:
-                gap *= s
-                n += 1
-            r = fix - gap
-    raise AssertionError("piece-jumping failed to settle")
+    if F.invert(start) < start:
+        raise AssertionError("pullback iteration must be nondecreasing")
+    candidates = [start] + [Fraction(-v, k - 1) for k, v in F.lines if k > 1]
+    fixed = [q for q in candidates if q >= start and F.image_exp(q) == q]
+    return ("fixed", min(fixed)) if fixed else ("diverges", None)
 
 
 def _wanders(f: MarkedPolynomial, z: Fraction) -> bool:

@@ -127,10 +127,6 @@ class PiecewiseMonomial:
         """The unique q with image_exp(q) = target."""
         return max((target - v) / k for k, v in self.lines)
 
-    def breakpoints(self) -> list[Fraction]:
-        """Exponents where the attaining slope changes (envelope corners), ascending."""
-        return [_corner(a, b) for a, b in zip(self.lines, self.lines[1:])][::-1]
-
     def compose(self, inner: "PiecewiseMonomial") -> "PiecewiseMonomial":
         """q -> self(inner(q)); a min of lines since every slope is positive."""
         return PiecewiseMonomial([(k1 * k2, k1 * v2 + v1)
@@ -142,10 +138,46 @@ def _corner(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> Fraction:
     return Fraction(a[1] - b[1], b[0] - a[0])
 
 
+def _critical_derivative(marks, d: int, backend) -> list[Scalar]:
+    """The coefficients of d * prod (z - c_i)^(d_i - 1), ascending."""
+    zero, one = backend.zero, backend.one
+    out = [one]
+    for m in marks:
+        factor = [-m.point, one]
+        for _ in range(m.multiplicity - 1):
+            out = poly_mul(out, factor, zero)
+    return [c.scale(d) for c in out]
+
+
+def _verify(coeffs, marks):
+    """Raise InvalidMarks unless coeffs are monic, centered, of degree >= 2,
+    with derivative d * prod (z - c_i)^(d_i - 1) over the marks."""
+    d = len(coeffs) - 1
+    backend = coeffs[0].backend
+    if d < 2:
+        raise InvalidMarks("degree must be >= 2")
+    if coeffs[d] != backend.one:
+        raise InvalidMarks("polynomial is not monic")
+    if not coeffs[d - 1].is_zero:
+        raise InvalidMarks("polynomial is not centered")
+    if sum(m.multiplicity - 1 for m in marks) != d - 1:
+        raise InvalidMarks("mark multiplicities do not sum to degree - 1")
+    expected = _critical_derivative(marks, d, backend)
+    actual = poly_derivative(list(coeffs))
+    actual = actual + [backend.zero] * (len(expected) - len(actual))
+    for k, (e, a) in enumerate(zip(expected, actual)):
+        if e != a:
+            raise InvalidMarks(
+                f"derivative mismatch at degree {k}: marks are not the critical set"
+            )
+
+
 class MarkedPolynomial:
     """A monic centered polynomial of degree >= 2 with marked critical data."""
 
     def __init__(self, coeffs: list[Scalar], marks: tuple[CriticalMark, ...]):
+        """Stores coefficients and marks as given, checking nothing: callers
+        use `from_critical_data` or `from_coefficients`, which validate."""
         self.coeffs = tuple(coeffs)
         self.marks = marks
         self.backend = coeffs[0].backend
@@ -153,7 +185,6 @@ class MarkedPolynomial:
         self._taylor_cache: dict[Scalar, tuple[Scalar, ...]] = {}
         self._tameness: TamenessReport | None = None
         self._records: dict = {}  # (mark, budget) -> EscapeRecord, kept by escape.classify_critical
-        self._verify()
         # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2
         self.base_radius_exp = Fraction(0)
         for i in range(self.degree - 1):
@@ -181,7 +212,9 @@ class MarkedPolynomial:
         if not marks:
             raise InvalidMarks("at least one mark required")
         backend = marks[0].point.backend
-        zero, one = backend.zero, backend.one
+        if b.backend != backend:
+            raise InvalidMarks("the constant term and the marks are over different backends")
+        zero = backend.zero
         d = 1 + sum(m.multiplicity - 1 for m in marks)
         if d < 2:
             raise InvalidMarks("degree must be >= 2")
@@ -199,12 +232,7 @@ class MarkedPolynomial:
                 "marks do not center the antiderivative: "
                 f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"
             )
-        deriv = [one]
-        for m in marks:
-            factor = [-m.point, one]
-            for _ in range(m.multiplicity - 1):
-                deriv = poly_mul(deriv, factor, zero)
-        deriv = [c.scale(d) for c in deriv]
+        deriv = _critical_derivative(marks, d, backend)
         coeffs = [b] + [deriv[k - 1].scale(Fraction(1, k)) for k in range(1, d + 1)]
         return cls(coeffs, marks)
 
@@ -215,32 +243,8 @@ class MarkedPolynomial:
         marks = tuple(
             m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks
         )
+        _verify(coeffs, marks)
         return cls(list(coeffs), marks)
-
-    def _verify(self):
-        d = self.degree
-        zero, one = self.backend.zero, self.backend.one
-        if d < 2:
-            raise InvalidMarks("degree must be >= 2")
-        if self.coeffs[d] != one:
-            raise InvalidMarks("polynomial is not monic")
-        if not self.coeffs[d - 1].is_zero:
-            raise InvalidMarks("polynomial is not centered")
-        if sum(m.multiplicity - 1 for m in self.marks) != d - 1:
-            raise InvalidMarks("mark multiplicities do not sum to degree - 1")
-        expected = [one]
-        for m in self.marks:
-            factor = [-m.point, one]
-            for _ in range(m.multiplicity - 1):
-                expected = poly_mul(expected, factor, zero)
-        expected = [c.scale(d) for c in expected]
-        actual = poly_derivative(list(self.coeffs))
-        actual = actual + [zero] * (len(expected) - len(actual))
-        for k, (e, a) in enumerate(zip(expected, actual)):
-            if e != a:
-                raise InvalidMarks(
-                    f"derivative mismatch at degree {k}: marks are not the critical set"
-                )
 
     # -- basic evaluation ------------------------------------------------
 

@@ -153,10 +153,14 @@ def polynomial_to_json(f: MarkedPolynomial) -> dict:
 
 
 def polynomial_from_json(data: dict) -> MarkedPolynomial:
-    """Accepts {"backend", "marks", "b"} or {"backend", "coeffs", "marks"}."""
+    """Accepts {"backend", "marks", "b"} or {"backend", "coeffs", "marks"},
+    each with an optional "degree".  A document with both "coeffs" and "b",
+    or with neither, raises InputError."""
     if not isinstance(data, dict):
         raise InputError(f"a polynomial is a JSON object, not {type(data).__name__}")
     backend = backend_from_json(data.get("backend", {}))
+    if "coeffs" in data and "b" in data:
+        raise InputError('a polynomial has "coeffs" or "b", not both')
     try:
         marks = [
             CriticalMark(scalar_from_json(backend, m["c"]), _json_int(m["mult"]))

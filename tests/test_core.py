@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
 from tamedyn.core import build_core
+from tamedyn.escape import classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import PAdic, Val
 
@@ -143,3 +144,22 @@ def test_dynamics_maps_ancestors_to_ancestors(tree):
         dv, du = tree.dynamics[e.lower], tree.dynamics[e.upper]
         if dv is not None and du is not None:
             assert compare(tree.vertices[dv].point, tree.vertices[du].point) in AT_MOST
+
+
+def test_no_taylor_data_at_the_last_orbit_value(monkeypatch):
+    """The last materialized value of each escaping orbit has no successor,
+    so the tree never reads its ray map (cubic over PAdic(5), marks +-1/5,
+    b = 1/25: both marks escape)."""
+    backend = PAdic(5)
+    f = MarkedPolynomial.from_critical_data(
+        [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
+        backend.scalar(Fraction(1, 25)))
+    expanded = []
+    original = MarkedPolynomial.taylor_at
+    monkeypatch.setattr(MarkedPolynomial, "taylor_at",
+                        lambda self, a: expanded.append(a) or original(self, a))
+    exits = {i: classify_critical(f, mark).first_exit for i, mark in enumerate(f.marks)}
+    for rho in (None, Fraction(2)):
+        tree = build_core(f, rho=rho, depth=3)
+        last = {tree.orbit_value(i, m + tree.fwd_depth) for i, m in exits.items()}
+        assert expanded and last.isdisjoint(expanded)

@@ -199,6 +199,11 @@ class TestClassificationSuite:
         assert records == [Escaping(1)]
 
 
+RAY_LINES = st.lists(st.tuples(st.integers(min_value=1, max_value=4),
+                               st.fractions(min_value=-12, max_value=12, max_denominator=4)),
+                     min_size=1, max_size=4)
+
+
 class TestPullbackIteration:
     @settings(max_examples=50)
     @given(
@@ -224,6 +229,29 @@ class TestPullbackIteration:
         else:
             # only a slope-1 inverse piece to the right moves without bound
             assert limit is None and seg.lines[0][0] == 1
+
+    @settings(max_examples=100)
+    @given(outer=RAY_LINES, inner=RAY_LINES,
+           start=st.fractions(min_value=-20, max_value=20, max_denominator=3))
+    def test_least_fixed_point_of_a_period_map(self, outer, inner, start):
+        # composed as _resolve_bounded composes the ray maps of a period
+        seg = PiecewiseMonomial(outer).compose(PiecewiseMonomial(inner))
+        assume(seg.invert(start) >= start)
+        status, limit = iterate_pl_to_limit(seg, start)
+        # where the iteration can first stop: start, or a line meeting the diagonal
+        candidates = [start] + [F(-v, k - 1) for k, v in seg.lines if k > 1]
+        if status == "fixed":
+            assert limit >= start and seg.image_exp(limit) == limit
+            assert all(seg.image_exp(q) != q for q in candidates if start <= q < limit)
+            # F(q) - q is nondecreasing, so it is negative on [start, limit)
+            # when a line of slope >= 2 attains F at the limit from the left
+            assert limit == start or any(k > 1 and k * limit + v == limit for k, v in seg.lines)
+        else:
+            assert limit is None
+            assert all(seg.image_exp(q) != q for q in candidates if q >= start)
+            # the last piece has slope 1 and lies below the diagonal
+            k, v = seg.lines[0]
+            assert k == 1 and v < 0
 
 
 def _padic(p, marks, b):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamedyn import polynomial
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial, poly_eval
@@ -68,6 +69,22 @@ class TestFromCriticalData:
             MarkedPolynomial.from_coefficients(
                 f.coeffs, [(Q5.scalar(2), 2), (Q5.scalar(-2), 2)]
             )
+
+    def test_rejects_constant_term_over_another_backend(self):
+        with pytest.raises(InvalidMarks):
+            MarkedPolynomial.from_critical_data(
+                [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], Q3.scalar(0)
+            )
+
+    def test_builds_the_derivative_once(self, monkeypatch):
+        # one product per factor (z - c_i) of f'; the coefficients are
+        # integrated from it, so nothing rebuilds it to check them
+        calls = []
+        original = polynomial.poly_mul
+        monkeypatch.setattr(polynomial, "poly_mul",
+                            lambda *args: calls.append(1) or original(*args))
+        assert [c.rational for c in cubic_sym().coeffs] == [0, -3, 0, 1]
+        assert len(calls) == 2
 
 
 class TestBasePoint:
@@ -185,7 +202,6 @@ class TestSegmentDynamics:
         seg = f.segment_dynamics(Q5.scalar(1))
         # Taylor at 1: f_1 = 0, f_2 = 3 (unit), f_3 = 1: slopes 2 and 3 cross at 0
         assert seg.lines[0][0] == 2  # the local degree at the center
-        assert seg.breakpoints() == [F(0)]
         assert _degree(seg, F(1)) == 2
         assert _degree(seg, F(-1)) == 3
 
@@ -248,16 +264,6 @@ class TestRayMapAgainstAllLines:
         q = seg.invert(t)
         assert q == max((t - v) / k for k, v in lines)
         assert _brute_min(lines, q) == t
-
-    @settings(max_examples=50)
-    @given(lines=LINES)
-    def test_breakpoints(self, lines):
-        crossings = {F(v1 - v2, k2 - k1) for k1, v1 in lines for k2, v2 in lines if k1 != k2}
-        corners = sorted(
-            q for q in crossings
-            if len({k for k, v in lines if k * q + v == _brute_min(lines, q)}) > 1
-        )
-        assert PiecewiseMonomial(lines).breakpoints() == corners
 
     @settings(max_examples=50)
     @given(outer=LINES, inner=LINES, q=EXPONENTS)

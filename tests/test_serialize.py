@@ -117,6 +117,10 @@ MALFORMED = {
     "empty coeffs": lambda: polynomial_from_json(
         {"backend": P5, "coeffs": [], "marks": [{"c": "0", "mult": 2}]}),
     "empty raw coeffs": lambda: raw_coefficients_from_json({"backend": P5, "coeffs": []}),
+    # once parsed with its constant term taken from coeffs and b dropped
+    "both coeffs and b": lambda: polynomial_from_json(
+        {"backend": P5, "coeffs": ["1/25", "-3/25", "0", "1"],
+         "marks": [{"c": "1/5", "mult": 2}, {"c": "-1/5", "mult": 2}], "b": "7"}),
     "p a non-integral float": lambda: backend_from_json({"kind": "padic", "p": 5.7}),
     "p a bool": lambda: backend_from_json({"kind": "padic", "p": True}),
     "p a string": lambda: backend_from_json({"kind": "padic", "p": "5"}),
