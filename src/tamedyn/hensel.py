@@ -1,17 +1,18 @@
 """Newton lifting of one polynomial to another near the Gauss point.
 
-Given f and g fixing the Gauss point with equal reductions, and a point
-x of the unit region where f has unit derivative, the scheme
+Given coefficient lists f and g fixing the Gauss point with equal
+reductions, and a point x of the unit region where f has unit derivative,
+the scheme
 
     z_0 = x,   w_n = -(f(z_n) - g(x)) / f'(z_n),   z_{n+1} = z_n + w_n
 
 converges quadratically to the value h(x) of the conjugating map with
-f(h(x)) = g(x).  Both displayed contraction inequalities are checked on
-every step of the trace, in exact valuation form; the returned residual
-valuation is certified by direct evaluation.
-
-Inputs may be marked polynomials or raw coefficient sequences; the
-construction never needs critical data.
+f(h(x)) = g(x).  With s = v(f - g), the Gauss valuation of the coefficient
+difference, each residual still below the target is checked to exceed
+the one before by more than the contraction gap mu = s/2.  Since f'(z_n)
+is a unit, v(w_n) equals the residual valuation of the same step, so this
+one check also bounds the step sizes.  The returned residual valuation is
+certified by direct evaluation.
 """
 
 from __future__ import annotations
@@ -20,41 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.errors import ContractionFailed, HypothesisViolated, MaxIterExceeded
-from tamedyn.polynomial import MarkedPolynomial, poly_derivative, poly_eval
+from tamedyn.polynomial import poly_derivative, poly_eval
 from tamedyn.valued_field import INF, PAdic, Scalar, Val
 
-DEFAULT_MAX_ITER = 32
+MAX_ITER = 32
 REDUCE_MARGIN = 8
-
-
-@dataclass(frozen=True)
-class LiftParams:
-    """Valuation-form region parameters.
-
-    s: lower bound for v(f - g) on the unit region (Gauss valuation of
-    the coefficient difference); mu: contraction gap, 0 < mu < s;
-    r_exp: negative exponent of the working region radius.  The proof's
-    inequalities read mu + d*r_exp > 0 and s + d*r_exp > mu.
-    """
-
-    s: Fraction
-    mu: Fraction
-    r_exp: Fraction
-    max_iter: int = DEFAULT_MAX_ITER
-
-    def validate(self, degree: int):
-        if not (0 < self.mu < self.s):
-            raise HypothesisViolated("need 0 < mu < s", clause="params")
-        if not (self.mu + degree * self.r_exp > 0):
-            raise HypothesisViolated("mu + d*r_exp must be positive", clause="params")
-        if not (self.s + degree * self.r_exp > self.mu):
-            raise HypothesisViolated("s + d*r_exp must exceed mu", clause="params")
-
-    @classmethod
-    def auto(cls, s: Fraction, degree: int, max_iter: int = DEFAULT_MAX_ITER) -> "LiftParams":
-        mu = s / 2
-        r_exp = -s / (4 * degree)
-        return cls(s=s, mu=mu, r_exp=r_exp, max_iter=max_iter)
 
 
 @dataclass(frozen=True)
@@ -70,13 +41,7 @@ class LiftResult:
     iterations: tuple[LiftStep, ...]
     certified_valuation: Val
     displacement_valuation: Val  # v(h(x) - x)
-    params: LiftParams
-
-
-def _coefficients(poly) -> list[Scalar]:
-    if isinstance(poly, MarkedPolynomial):
-        return list(poly.coeffs)
-    return list(poly)
+    mu: Fraction | None  # contraction gap s/2 the trace was checked against; None when f = g
 
 
 def _check_gauss_fixed(coeffs: list[Scalar], name: str):
@@ -96,7 +61,7 @@ def _check_gauss_fixed(coeffs: list[Scalar], name: str):
         )
 
 
-def lift(f, g, x: Scalar, target, params: LiftParams | None = None) -> LiftResult:
+def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
     """Solve f(h(x)) = g(x) for h(x) near x, with certified residual.
 
     Hypotheses checked: (1) both polynomials fix the Gauss point,
@@ -105,11 +70,8 @@ def lift(f, g, x: Scalar, target, params: LiftParams | None = None) -> LiftResul
     membership v(x) >= 0.
     """
     target = Fraction(target)
-    fc = _coefficients(f)
-    gc = _coefficients(g)
     backend = fc[0].backend
     zero = backend.zero
-    degree = len(fc) - 1
     _check_gauss_fixed(fc, "f")
     _check_gauss_fixed(gc, "g")
     width = max(len(fc), len(gc))
@@ -122,12 +84,8 @@ def lift(f, g, x: Scalar, target, params: LiftParams | None = None) -> LiftResul
         raise HypothesisViolated("reductions of f and g differ", clause=2)
     if x.valuation() < Val(0):
         raise HypothesisViolated("x lies outside the unit region", clause="region")
+    mu = None if s.is_infinite else s.finite / 2
     fprime = poly_derivative(fc)
-
-    if params is None:
-        s_val = target if s.is_infinite else s.finite
-        params = LiftParams.auto(s_val, degree)
-    params.validate(degree)
 
     reduce_exp = None
     if isinstance(backend, PAdic):
@@ -136,34 +94,26 @@ def lift(f, g, x: Scalar, target, params: LiftParams | None = None) -> LiftResul
     gx = poly_eval(gc, x, zero)
     z = x
     steps: list[LiftStep] = []
-    prev_w: Val | None = None
-    prev_res: Val | None = None
-    for n in range(params.max_iter + 1):
+    for n in range(MAX_ITER + 1):
         residual = poly_eval(fc, z, zero) - gx
         res_v = residual.valuation()
-        if prev_res is not None and not res_v.is_infinite:
-            if not (res_v > prev_res + params.mu):
-                raise ContractionFailed(
-                    f"residual stalled at step {n}: {res_v} vs {prev_res} + {params.mu}"
-                )
         if res_v >= Val(target):
             displacement = (z - x).valuation()
-            return LiftResult(z, tuple(steps), res_v, displacement, params)
+            return LiftResult(z, tuple(steps), res_v, displacement, mu)
+        # below the target the reduction (at target + REDUCE_MARGIN) cannot
+        # have moved the residual, so a stall here is one of the iteration
+        if steps and not (res_v > steps[-1].residual_valuation + mu):
+            raise ContractionFailed(
+                f"residual stalled at step {n}: {res_v} vs {steps[-1].residual_valuation} + {mu}"
+            )
         deriv = poly_eval(fprime, z, zero)
         if deriv.valuation() != Val(0):
             raise HypothesisViolated(
                 f"derivative is not a unit at iterate {n}", clause=3
             )
         w = -residual / deriv
-        w_v = w.valuation()
-        if prev_w is not None and not w_v.is_infinite:
-            if not (w_v > prev_w + params.mu):
-                raise ContractionFailed(
-                    f"step size stalled at step {n}: {w_v} vs {prev_w} + {params.mu}"
-                )
-        steps.append(LiftStep(n, w_v, res_v))
+        steps.append(LiftStep(n, w.valuation(), res_v))
         z = z + w
         if reduce_exp is not None:
             z = z.mod_reduce(reduce_exp)
-        prev_w, prev_res = w_v, res_v
-    raise MaxIterExceeded(f"no convergence to valuation {target} in {params.max_iter} steps")
+    raise MaxIterExceeded(f"no convergence to valuation {target} in {MAX_ITER} steps")

@@ -182,7 +182,6 @@ class MarkedPolynomial:
         self.marks = marks
         self.backend = coeffs[0].backend
         self.degree = len(coeffs) - 1
-        self._taylor_cache: dict[Scalar, tuple[Scalar, ...]] = {}
         self._tameness: TamenessReport | None = None
         self._records: dict = {}  # (mark, budget) -> EscapeRecord, kept by escape.classify_critical
         # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2
@@ -281,11 +280,7 @@ class MarkedPolynomial:
         return coprime_fraction(num, den)
 
     def taylor_at(self, a: Scalar) -> tuple[Scalar, ...]:
-        cached = self._taylor_cache.get(a)
-        if cached is None:
-            cached = tuple(taylor_coefficients(list(self.coeffs), a, self.backend.zero))
-            self._taylor_cache[a] = cached
-        return cached
+        return tuple(taylor_coefficients(self.coeffs, a, self.backend.zero))
 
     def __repr__(self):
         return f"MarkedPolynomial(degree={self.degree}, marks={len(self.marks)})"
@@ -337,38 +332,21 @@ class MarkedPolynomial:
         """
         if self._tameness is not None:
             return self._tameness
-        backend = self.backend
-        p = backend.residue_char
-        degrees = set()
-        witness = None
-        witness_degree = None
+        p = self.backend.residue_char
         if p == 0:
             self._tameness = TamenessReport(True, degrees=frozenset({self.degree}))
             return self._tameness
-        clusters: list[tuple[frozenset[int], int, Val]] = []
-        k = len(self.marks)
-        for i in range(k):
-            ci = self.marks[i].point
-            joins = []
-            for j in range(k):
-                if j != i:
-                    joins.append(((self.marks[j].point - ci).valuation(), j))
-            cuts = sorted({v for v, _ in joins}, reverse=True)
-            # singleton cluster: the classical point itself
-            clusters.append((frozenset({i}), i, INF))
-            for q in cuts:
-                members = frozenset({i} | {j for v, j in joins if v >= q})
-                clusters.append((members, i, q))
-        seen = set()
-        for members, i, q in clusters:
-            if members in seen:
-                continue
-            seen.add(members)
-            deg = 1 + sum(self.marks[j].multiplicity - 1 for j in members)
-            degrees.add(deg)
-            if deg % p == 0 and witness is None:
-                witness = BerkPoint(self.marks[i].point, q)
-                witness_degree = deg
+        degrees = set()
+        witness = witness_degree = None
+        for mi in self.marks:
+            # the disk of radius exponent q about mi holds the marks with v >= q
+            vals = [INF if m is mi else (m.point - mi.point).valuation() for m in self.marks]
+            for q in sorted(set(vals), reverse=True):
+                deg = 1 + sum(m.multiplicity - 1 for m, v in zip(self.marks, vals) if v >= q)
+                degrees.add(deg)
+                if deg % p == 0 and witness is None:
+                    witness = BerkPoint(mi.point, q)
+                    witness_degree = deg
         tame = witness is None
         self._tameness = TamenessReport(tame, witness, witness_degree, frozenset(degrees))
         return self._tameness

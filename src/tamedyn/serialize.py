@@ -2,7 +2,9 @@
 
 Every numeric field is an exact rational string ("a/b", "inf"); series
 scalars are sorted (exponent, coefficient) pair lists.  Encoders keep a
-stable field order so reports are byte-identical across runs.
+stable field order so reports are byte-identical across runs.  Parsers
+also take a JSON integer for a rational field, and refuse floats, booleans
+and decimal strings with InputError.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ class InputError(TamedynError):
     """Malformed input file or inconsistent backends."""
 
 
-# what int(), Fraction() and indexing raise on a malformed document
-# (OverflowError: Fraction of an infinite float, which json.loads accepts)
-_MALFORMED = (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
+# what the backends, Fraction(a, 0) and indexing raise on a malformed document
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 # str() and int() refuse integers of more than sys.get_int_max_str_digits()
@@ -58,11 +59,16 @@ def _rational_str(q: Fraction) -> str:
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
-def _parse_rational(x) -> Fraction:
-    """Fraction(x), also for strings "a" and "a/b" of integers of any length."""
+def _json_rational(x) -> Fraction:
+    """A rational JSON field: an integer (not true/false), or a string "a" or
+    "a/b" of integers of any length.  Floats are refused (0.1 is not the
+    rational 1/10), and so are decimal strings: "1e10000000" alone would
+    build a 33-million-bit integer."""
+    if type(x) is int:
+        return Fraction(x)
     m = _INT_RATIO.fullmatch(x) if isinstance(x, str) else None
     if m is None:
-        return Fraction(x)
+        raise InputError(f'expected a JSON integer or a string "a/b", not {x!r}')
     sign, num, den = m.groups()
     value = Fraction(_int_from_digits(num), 1 if den is None else _int_from_digits(den))
     return -value if sign == "-" else value
@@ -82,7 +88,7 @@ def val_str(v: Val) -> str:
 def val_from_str(s: str) -> Val:
     if s == "inf":
         return INF
-    return Val(Fraction(s))
+    return Val(_json_rational(s))
 
 
 def backend_to_json(backend) -> dict:
@@ -101,7 +107,7 @@ def backend_from_json(data: dict):
         if kind == "padic":
             return PAdic(_json_int(data["p"]))
         if kind == "series":
-            return SeriesT(Fraction(data["precision"]), _json_int(data.get("ram_den", 1)))
+            return SeriesT(_json_rational(data["precision"]), _json_int(data.get("ram_den", 1)))
     except _MALFORMED as exc:
         raise InputError(f"bad backend spec: {exc}") from exc
     raise InputError(f"unknown backend kind: {kind!r}")
@@ -115,17 +121,13 @@ def scalar_to_json(x: Scalar):
 
 def scalar_from_json(backend, data) -> Scalar:
     try:
-        if isinstance(data, (str, int)):
-            return backend.scalar(_parse_rational(data))
-        if isinstance(data, list):
-            if isinstance(backend, PAdic):
-                raise InputError("series literal for a p-adic backend")
-            return backend.scalar(terms=[(Fraction(e), _parse_rational(c)) for e, c in data])
-    except InputError:
-        raise
+        if not isinstance(data, list):
+            return backend.scalar(_json_rational(data))
+        if isinstance(backend, PAdic):
+            raise InputError("series literal for a p-adic backend")
+        return backend.scalar(terms=[(_json_rational(e), _json_rational(c)) for e, c in data])
     except _MALFORMED as exc:
         raise InputError(f"bad scalar literal {data!r}: {exc}") from exc
-    raise InputError(f"bad scalar literal {data!r}")
 
 
 def point_to_json(x: BerkPoint) -> dict:

@@ -452,8 +452,7 @@ class Scalar:
         while e:
             if e & 1:
                 result = result * base
-            base_needed = e > 1
-            if base_needed:
+            if e > 1:
                 base = base * base
             e >>= 1
         return result
@@ -572,7 +571,6 @@ def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:
     q = u.rational
     U = q.numerator * pow(q.denominator, -1, m) % m
     w = 1
-    n_inv_cache = None
     for _ in range(2 * K + 8):
         r = (pow(w, n, m) - U) % m
         if r == 0 or int_valuation(r, p) >= target:

@@ -181,6 +181,49 @@ class TestTameness:
         assert f.tameness_check().tame
 
 
+def _tameness_by_clusters(marks, p):
+    """The enumeration tameness_check once made: every valuation-prefix
+    cluster about each mark, repeats skipped, in order of first occurrence."""
+    clusters = []
+    for i, mi in enumerate(marks):
+        joins = [((m.point - mi.point).valuation(), j) for j, m in enumerate(marks) if j != i]
+        clusters.append((frozenset({i}), i, INF))
+        for q in sorted({v for v, _ in joins}, reverse=True):
+            clusters.append((frozenset({i} | {j for v, j in joins if v >= q}), i, q))
+    degrees, witness, witness_degree, seen = set(), None, None, set()
+    for members, i, q in clusters:
+        if members in seen:
+            continue
+        seen.add(members)
+        deg = 1 + sum(marks[j].multiplicity - 1 for j in members)
+        degrees.add(deg)
+        if deg % p == 0 and witness is None:
+            witness, witness_degree = BerkPoint(marks[i].point, q), deg
+    return witness is None, witness, witness_degree, frozenset(degrees)
+
+
+@st.composite
+def mark_sets(draw):
+    """Distinct p-adic marks, multiplicities 2-4, translated to be centered."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    backend = PAdic(p)
+    point = st.builds(lambda n, e: Fraction(n) * Fraction(p) ** e,
+                      st.integers(-30, 30), st.integers(-2, 3))
+    points = draw(st.lists(point, min_size=1, max_size=5, unique=True))
+    mults = [draw(st.integers(2, 4)) for _ in points]
+    shift = sum((d - 1) * c for c, d in zip(points, mults)) / sum(d - 1 for d in mults)
+    return [(backend.scalar(c - shift), d) for c, d in zip(points, mults)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mark_sets())
+def test_tameness_matches_the_cluster_enumeration(marks):
+    f = MarkedPolynomial.from_critical_data(marks, marks[0][0].backend.zero)
+    rep = f.tameness_check()
+    assert (rep.tame, rep.witness, rep.witness_degree, rep.degrees) == \
+        _tameness_by_clusters(f.marks, f.backend.p)
+
+
 class TestSegmentDynamics:
     def test_quadratic_ray_at_zero(self):
         f = quad_third()

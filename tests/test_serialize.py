@@ -144,6 +144,19 @@ MALFORMED = {
     "series coefficient an infinite float": lambda: scalar_from_json(QT, [["1", float("-inf")]]),
     "radius exponent an infinite float":
         lambda: point_from_json(Q5, {"center": "0", "radius_exp": float("inf")}),
+    # each once parsed as a rational: true as 1, 0.1 as 3602879701896397/2^55
+    "scalar a bool": lambda: scalar_from_json(Q5, True),
+    "b a bool": lambda: polynomial_from_json(_cubic(b=True)),
+    "series precision a bool": lambda: backend_from_json({"kind": "series", "precision": True}),
+    "series precision a float": lambda: backend_from_json({"kind": "series", "precision": 8.5}),
+    "series exponent a bool": lambda: scalar_from_json(QT, [[True, "1"]]),
+    "series exponent a float": lambda: scalar_from_json(QT, [[1.0, "1"]]),
+    "series coefficient a bool": lambda: scalar_from_json(QT, [["1", True]]),
+    "series coefficient a float": lambda: scalar_from_json(QT, [["1", 0.1]]),
+    "radius exponent a bool": lambda: point_from_json(Q5, {"center": "0", "radius_exp": True}),
+    "radius exponent a float": lambda: point_from_json(Q5, {"center": "0", "radius_exp": 0.1}),
+    # once parsed by Fraction, which builds 10^e for a string "1e<e>"
+    "scalar a decimal string": lambda: scalar_from_json(Q5, "1e3"),
 }
 
 
