@@ -1,19 +1,25 @@
 """Candidate conjugacies between two trees and the extendability checks.
 
-The map is built on orbit labels: the source vertex that is the disk of
-exponent q around f^n(c_i(f)) goes to the disk of exponent q around
-g^n(c_i(g)).  Well-definedness is exactly label-coincidence transfer:
-whenever two labels denote the same source vertex they must denote the
-same target vertex, and conversely; any violation is returned as a
+A tree vertex is fixed by its key, (radius exponent q, witnesses): the
+witnesses are the orbit labels (mark index, iterate) whose values lie in
+the disk.  The map sends the source vertex of exponent q around
+f^n(c_i(f)) to the target vertex of exponent q around g^n(c_i(g)).  It is
+well defined exactly when that vertex exists and has the same witnesses,
+and it is then a bijection of keys; any violation is returned as a
 minimal witness (the two labels, their exponent, the level).
 
-Verification on the truncation checks four clauses: exact edge isometry
-(with matching local degrees), equivariance of the recorded dynamics,
-the locally-a-translation property (every witness of the vertex and its
-children is moved into the correct direction by the single translation
-z + b_x, an exact strict-valuation check), and agreement with the
-coordinate change at infinity on the outermost axis vertices, at the
-working precision.
+``verify_extendable`` takes ``build_conjugacy``'s output and checks four
+clauses on the truncations.  (i) Isometry: one disk contains another
+exactly when its exponent is not larger and they share a witness, so a
+key bijection sends each vertex's closest strict ancestor to its image's
+(a target vertex strictly between the images would be the image of a
+source vertex strictly between the originals).  Every source edge is thus
+a target edge of the same length, and only local degrees are compared.
+(ii) Equivariance of the recorded dynamics.  (iii) Locally a translation:
+every witness of a vertex (its children's are among them) is moved into
+the correct direction by the single translation z + b_x, an exact
+strict-valuation check.  (iv) Agreement with the coordinate change at
+infinity on the outermost axis vertices, at the working precision.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tamedyn.berkovich import BerkPoint
 from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
-from tamedyn.core import CoreTree, build_core
+from tamedyn.core import CoreTree, CoreVertex, build_core
 from tamedyn.errors import NotComparable, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import Scalar, Val
+from tamedyn.valued_field import Val
 
 PRECISION = Fraction(30)  # working precision of the coordinates at infinity
 
@@ -74,13 +79,12 @@ class ConjugacyMap:
     source: CoreTree
     target: CoreTree
     vertex_map: dict[int, int]
-    translations: dict[int, Scalar]
     rho_bound: RhoBound
 
 
 def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | None,
                     depth: int = 4) -> ConjugacyMap:
-    """Construct the label-transport map between the two trimmed trees.
+    """Construct the key map between the two trimmed trees.
 
     Precondition: rho is None or positive, and the coordinates are
     rho-close (both checked first); raises NotComparable otherwise,
@@ -98,76 +102,58 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
     target = build_core(g, rho=rho, depth=depth)
 
     vertex_map: dict[int, int] = {}
-    translations: dict[int, Scalar] = {}
-    used: set[int] = set()
     for si, sv in enumerate(source.vertices):
-        q = sv.point.radius_exp
-        first = sv.witnesses[0]
-        t_point = BerkPoint(target.orbit_value(*first), q)
-        for other in sv.witnesses[1:]:
-            candidate = BerkPoint(target.orbit_value(*other), q)
-            if candidate != t_point:
-                raise WellDefinednessFailure(
-                    f"labels {first} and {other} coincide on the source at "
-                    f"exponent {q} but separate on the target",
-                    witness_a=first, witness_b=other, level=sv.level,
-                )
-        ti = target.vertex_at(q, first)
-        if ti is None:
-            raise WellDefinednessFailure(
-                f"image of source vertex {si} (label {first}, exponent {q}) "
-                "is not a target vertex",
-                witness_a=first, level=sv.level,
-            )
-        tv = target.vertices[ti]
-        if tv.witnesses != sv.witnesses:
-            extra = set(tv.witnesses) ^ set(sv.witnesses)
-            pick = sorted(extra)[0]
-            raise WellDefinednessFailure(
-                f"label {pick} separates on one side only at exponent {q}",
-                witness_a=first, witness_b=pick, level=sv.level,
-            )
-        if ti in used:
-            raise WellDefinednessFailure(
-                f"two source vertices map to target vertex {ti}",
-                witness_a=first, level=sv.level,
-            )
-        used.add(ti)
+        ti = target.vertex_at(sv.point.radius_exp, sv.witnesses[0])
+        if ti is None or target.vertices[ti].witnesses != sv.witnesses:
+            raise _transport_failure(si, sv, ti, target)
         vertex_map[si] = ti
-        translations[si] = target.orbit_value(*first) - source.orbit_value(*first)
-    if len(used) != len(target.vertices):
-        raise WellDefinednessFailure(
-            "target tree has vertices with no source counterpart",
+    if len(vertex_map) != len(target.vertices):
+        raise WellDefinednessFailure("target tree has vertices with no source counterpart")
+    return ConjugacyMap(source, target, vertex_map, bound)
+
+
+def _transport_failure(si: int, sv: CoreVertex, ti: int | None,
+                       target: CoreTree) -> WellDefinednessFailure:
+    """Why source vertex si has no target vertex with its key: a label leaves
+    the target disk of the first, there is no such disk, or they differ."""
+    q, first = sv.point.radius_exp, sv.witnesses[0]
+    t_first = target.orbit_value(*first)
+    for other in sv.witnesses[1:]:
+        if (target.orbit_value(*other) - t_first).valuation() < q:
+            return WellDefinednessFailure(
+                f"labels {first} and {other} coincide on the source at "
+                f"exponent {q} but separate on the target",
+                witness_a=first, witness_b=other, level=sv.level,
+            )
+    if ti is None:
+        return WellDefinednessFailure(
+            f"image of source vertex {si} (label {first}, exponent {q}) "
+            "is not a target vertex",
+            witness_a=first, level=sv.level,
         )
-    return ConjugacyMap(source, target, vertex_map, translations, bound)
+    pick = min(set(target.vertices[ti].witnesses) ^ set(sv.witnesses))
+    return WellDefinednessFailure(
+        f"label {pick} separates on one side only at exponent {q}",
+        witness_a=first, witness_b=pick, level=sv.level,
+    )
 
 
 def verify_extendable(h: ConjugacyMap) -> VerificationReport:
-    """Check the four extendability clauses on the truncations."""
+    """Check the four extendability clauses on the truncations of a map
+    made by ``build_conjugacy``."""
     src, tgt = h.source, h.target
     fmap = h.vertex_map
 
-    # (i) exact isometry with matching local degrees on edges
+    # (i) each source edge is a target edge of the same length (module
+    # docstring), so only the local degrees can differ
     isometry = ClauseResult("pass")
-    tgt_edges = {(e.lower, e.upper): e for e in tgt.edges}
+    tgt_degree = {e.lower: e.degree for e in tgt.edges}
     for e in src.edges:
-        key = (fmap.get(e.lower), fmap.get(e.upper))
-        te = tgt_edges.get(key)
-        if te is None:
-            isometry = ClauseResult(
-                "fail", f"source edge {e.lower}->{e.upper} has no target edge {key}"
-            )
-            break
-        if te.length != e.length:
+        te_degree = tgt_degree[fmap[e.lower]]
+        if te_degree != e.degree:
             isometry = ClauseResult(
                 "fail",
-                f"edge {e.lower}->{e.upper}: length {e.length} vs {te.length}",
-            )
-            break
-        if te.degree != e.degree:
-            isometry = ClauseResult(
-                "fail",
-                f"edge {e.lower}->{e.upper}: degree {e.degree} vs {te.degree}",
+                f"edge {e.lower}->{e.upper}: degree {e.degree} vs {te_degree}",
             )
             break
 
@@ -188,33 +174,21 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
             )
             break
 
-    # (iii) locally a translation: all witnesses of the vertex and of its
-    # children are transported strictly inside their directions
+    # (iii) locally a translation: every witness of the vertex is moved
+    # strictly inside its direction by the vertex's own shift
     local = ClauseResult("pass")
-    children: dict[int, list[int]] = {si: [] for si in fmap}
-    for e in src.edges:
-        children.setdefault(e.upper, []).append(e.lower)
-    done = False
-    for si, ti in fmap.items():
-        if done:
+    for si, sv in enumerate(src.vertices):
+        q, first = sv.point.radius_exp, sv.witnesses[0]
+        shift = tgt.orbit_value(*first) - src.orbit_value(*first)
+        label = next((label for label in sv.witnesses
+                      if not (tgt.orbit_value(*label) - (src.orbit_value(*label) + shift))
+                      .valuation() > q), None)
+        if label is not None:
+            local = ClauseResult(
+                "fail",
+                f"vertex {si}: witness {label} leaves its direction under the translation",
+            )
             break
-        sv = src.vertices[si]
-        q = sv.point.radius_exp
-        shift = h.translations[si]
-        wit_pool = list(sv.witnesses)
-        for child in children.get(si, ()):
-            wit_pool.extend(src.vertices[child].witnesses)
-        for label in wit_pool:
-            wf = src.orbit_value(*label)
-            wg = tgt.orbit_value(*label)
-            if not ((wg - (wf + shift)).valuation() > q):
-                local = ClauseResult(
-                    "fail",
-                    f"vertex {si}: witness {label} leaves its direction under "
-                    f"the translation",
-                )
-                done = True
-                break
 
     # (iv) coordinate agreement near infinity at the outermost axis vertices
     boettcher = ClauseResult("skipped", "no axis vertices")

@@ -67,10 +67,13 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
     Hypotheses checked: (1) both polynomials fix the Gauss point,
     (2) their reductions agree (coefficientwise positive valuation of
     the difference), (3) unit derivative at x; plus unit-region
-    membership v(x) >= 0.
+    membership v(x) >= 0.  f, g and x must share one backend (checked
+    first, as hypothesis "backend").
     """
     target = Fraction(target)
     backend = fc[0].backend
+    if any(c.backend != backend for c in (*fc, *gc, x)):
+        raise HypothesisViolated("f, g and x are not over one backend", clause="backend")
     zero = backend.zero
     _check_gauss_fixed(fc, "f")
     _check_gauss_fixed(gc, "g")

@@ -149,6 +149,17 @@ def _critical_derivative(marks, d: int, backend) -> list[Scalar]:
     return [c.scale(d) for c in out]
 
 
+def _distinct_marks(marks) -> tuple[CriticalMark, ...]:
+    """The marks as CriticalMarks, given as such or as (point, multiplicity);
+    raises InvalidMarks when two of them sit at one point."""
+    marks = tuple(m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks)
+    for i, m in enumerate(marks):
+        for m2 in marks[i + 1:]:
+            if m.point == m2.point:
+                raise InvalidMarks(f"coincident marks at {m.point!r}")
+    return marks
+
+
 def _verify(coeffs, marks):
     """Raise InvalidMarks unless coeffs are monic, centered, of degree >= 2,
     with derivative d * prod (z - c_i)^(d_i - 1) over the marks."""
@@ -205,9 +216,7 @@ class MarkedPolynomial:
     @classmethod
     def from_critical_data(cls, marks, b: Scalar) -> "MarkedPolynomial":
         """The unique monic centered f with f' = d prod(z-c_i)^(d_i-1), f(0) = b."""
-        marks = tuple(
-            m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks
-        )
+        marks = _distinct_marks(marks)
         if not marks:
             raise InvalidMarks("at least one mark required")
         backend = marks[0].point.backend
@@ -217,10 +226,6 @@ class MarkedPolynomial:
         d = 1 + sum(m.multiplicity - 1 for m in marks)
         if d < 2:
             raise InvalidMarks("degree must be >= 2")
-        for i, m in enumerate(marks):
-            for m2 in marks[i + 1:]:
-                if m.point == m2.point:
-                    raise InvalidMarks(f"coincident marks at {m.point!r}")
         weighted = zero
         chart = zero
         for m in marks:
@@ -239,9 +244,7 @@ class MarkedPolynomial:
     def from_coefficients(cls, coeffs, marks) -> "MarkedPolynomial":
         """Monic centered coefficients a_0..a_d plus caller-supplied marks,
         verified against the derivative factorization."""
-        marks = tuple(
-            m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks
-        )
+        marks = _distinct_marks(marks)
         _verify(coeffs, marks)
         return cls(list(coeffs), marks)
 

@@ -563,23 +563,13 @@ def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:
     p = backend.p
     if n % p == 0:
         raise RootUnavailable(f"{p} divides {n}")
-    target = max(1, precision)
-    # Work modulo p^K on integer representatives; the derivative n*w^(n-1)
-    # is a unit so each Newton step at least doubles the residual valuation.
-    K = target + 2
+    # The 1-units mod p^K form a group of order p^(K-1), prime to n, so
+    # raising to the inverse of n modulo that order gives the unique root.
+    K = max(1, precision)
     m = p ** K
     q = u.rational
     U = q.numerator * pow(q.denominator, -1, m) % m
-    w = 1
-    for _ in range(2 * K + 8):
-        r = (pow(w, n, m) - U) % m
-        if r == 0 or int_valuation(r, p) >= target:
-            break
-        deriv = n * pow(w, n - 1, m) % m
-        w = (w - r * pow(deriv, -1, m)) % m
-    else:
-        raise PrecisionExhausted("Newton iteration failed to reach precision")
-    return backend.scalar(Fraction(w))
+    return backend.scalar(Fraction(pow(U, pow(n, -1, p ** (K - 1)), m)))
 
 
 def _series_nth_root_unit(u: Scalar, n: int) -> Scalar:
@@ -611,9 +601,9 @@ def _series_nth_root_unit(u: Scalar, n: int) -> Scalar:
 def nth_root_unit(u: Scalar, n: int, precision: Rat = 40) -> Scalar:
     """The unique w with w^n = u and valuation(w - 1) > 0.
 
-    Requires valuation(u - 1) > 0.  Over PAdic the root is computed by
-    Newton iteration to the requested valuation precision (certified by
-    the returned residual); over SeriesT it is exact up to the cutoff.
+    Requires valuation(u - 1) > 0.  Over PAdic the root is computed in
+    closed form modulo p^K, K = max(1, precision): valuation(w^n - u) >= K;
+    over SeriesT it is exact up to the cutoff.
     Raises RootUnavailable when the residue characteristic divides n.
     """
     if n < 1:

@@ -1,13 +1,27 @@
-"""Conjugacy between two core trees: passing pairs, incomparable pairs, and the
-two ways label transport can fail to be well defined."""
+"""Conjugacy between two core trees: passing pairs, incomparable pairs, the
+ways label transport can fail to be well defined, and the key map checked
+on drawn pairs against label-by-label transport."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from tamedyn.conjugacy import build_conjugacy, verify_extendable
-from tamedyn.errors import NotComparable, WellDefinednessFailure
+from tamedyn.berkovich import BerkPoint
+from tamedyn.boettcher import rho_closeness
+from tamedyn.conjugacy import (
+    PRECISION,
+    ClauseResult,
+    VerificationReport,
+    build_conjugacy,
+    verify_extendable,
+)
+from tamedyn.core import build_core
+from tamedyn.errors import NotComparable, TamedynError, WellDefinednessFailure
+from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
+from tamedyn.valued_field import PAdic, Val
 
 
 def cubic5(c, b):
@@ -64,3 +78,161 @@ def test_non_positive_rho_is_refused_before_any_orbit_work(rho):
     })
     with pytest.raises(NotComparable, match="rho must be positive"):
         build_conjugacy(f, f, rho)
+
+
+# -- the key map against label-by-label transport --------------------------------
+
+def _label_transport(f, g, rho, depth):
+    """Label-by-label transport, kept as an oracle: every further witness of a
+    source vertex is compared with its first one as a disk on the target,
+    and each target vertex may be hit once."""
+    if rho is not None and rho <= 0:
+        raise NotComparable("rho must be positive")
+    bound = rho_closeness(f, g, precision=PRECISION)
+    if rho is not None and not bound.is_infinite and bound.rho_exp < Val(rho):
+        raise NotComparable(f"coordinates are only {bound.rho_exp}-close, below required {rho}")
+    source = build_core(f, rho=rho, depth=depth)
+    target = build_core(g, rho=rho, depth=depth)
+    vertex_map, translations, used = {}, {}, set()
+    for si, sv in enumerate(source.vertices):
+        q = sv.point.radius_exp
+        first = sv.witnesses[0]
+        t_point = BerkPoint(target.orbit_value(*first), q)
+        for other in sv.witnesses[1:]:
+            if BerkPoint(target.orbit_value(*other), q) != t_point:
+                raise WellDefinednessFailure(
+                    f"labels {first} and {other} coincide on the source at "
+                    f"exponent {q} but separate on the target",
+                    witness_a=first, witness_b=other, level=sv.level)
+        ti = target.vertex_at(q, first)
+        if ti is None:
+            raise WellDefinednessFailure(
+                f"image of source vertex {si} (label {first}, exponent {q}) "
+                "is not a target vertex", witness_a=first, level=sv.level)
+        tv = target.vertices[ti]
+        if tv.witnesses != sv.witnesses:
+            pick = sorted(set(tv.witnesses) ^ set(sv.witnesses))[0]
+            raise WellDefinednessFailure(
+                f"label {pick} separates on one side only at exponent {q}",
+                witness_a=first, witness_b=pick, level=sv.level)
+        if ti in used:
+            raise WellDefinednessFailure(f"two source vertices map to target vertex {ti}",
+                                         witness_a=first, level=sv.level)
+        used.add(ti)
+        vertex_map[si] = ti
+        translations[si] = target.orbit_value(*first) - source.orbit_value(*first)
+    if len(used) != len(target.vertices):
+        raise WellDefinednessFailure("target tree has vertices with no source counterpart")
+    return source, target, vertex_map, translations, bound
+
+
+def _isometry_by_edges(src, tgt, fmap):
+    """Clause (i) checked edge by edge: existence, length and degree."""
+    tgt_edges = {(e.lower, e.upper): e for e in tgt.edges}
+    for e in src.edges:
+        key = (fmap.get(e.lower), fmap.get(e.upper))
+        te = tgt_edges.get(key)
+        if te is None:
+            return ClauseResult("fail", f"source edge {e.lower}->{e.upper} has no target edge {key}")
+        if te.length != e.length:
+            return ClauseResult("fail", f"edge {e.lower}->{e.upper}: length {e.length} vs {te.length}")
+        if te.degree != e.degree:
+            return ClauseResult("fail", f"edge {e.lower}->{e.upper}: degree {e.degree} vs {te.degree}")
+    return ClauseResult("pass")
+
+
+def _translation_with_children(src, tgt, fmap, translations):
+    """Clause (iii) over the witnesses of each vertex and of its children."""
+    children = {si: [] for si in fmap}
+    for e in src.edges:
+        children.setdefault(e.upper, []).append(e.lower)
+    for si in fmap:
+        sv = src.vertices[si]
+        pool = list(sv.witnesses)
+        for child in children.get(si, ()):
+            pool.extend(src.vertices[child].witnesses)
+        for label in pool:
+            moved = tgt.orbit_value(*label) - (src.orbit_value(*label) + translations[si])
+            if not moved.valuation() > sv.point.radius_exp:
+                return ClauseResult(
+                    "fail", f"vertex {si}: witness {label} leaves its direction under the translation")
+    return ClauseResult("pass")
+
+
+def _p_adic_number(p, unit, exp):
+    # unit * p^exp, with the unit prime to p
+    return Fraction(unit if unit % p else unit + 1) * Fraction(p) ** exp
+
+
+@st.composite
+def conjugacy_pairs(draw):
+    """Escaping cubics (marks +-c) and quartics (marks c1, c2, -c1-c2) over
+    PAdic(5|7), against the same map with b and/or a pair of marks moved by
+    a power of p, with rho None or 1-3 and depth 2-4."""
+    p = draw(st.sampled_from([5, 7]))
+    unit = st.integers(min_value=-12, max_value=12).filter(bool)
+    backend = PAdic(p)
+    b = _p_adic_number(p, draw(unit), -draw(st.integers(1, 4)))
+    cs = [_p_adic_number(p, draw(unit), -draw(st.integers(0, 2)))
+          for _ in range(draw(st.integers(1, 2)))]
+    cs.append(-sum(cs))
+    how = draw(st.sampled_from(["b", "marks", "marks", "both", "none"]))
+    b2, cs2 = b, list(cs)
+    if how in ("b", "both"):
+        b2 = b + _p_adic_number(p, draw(unit), draw(st.integers(-1, 6)))
+    if how in ("marks", "both"):
+        shift = _p_adic_number(p, draw(unit), draw(st.integers(-1, 2)))
+        cs2[0] += shift
+        cs2[-1] -= shift
+    assume(len(set(cs)) == len(cs) and len(set(cs2)) == len(cs2))
+
+    def poly(marks, b):
+        return MarkedPolynomial.from_critical_data([(backend.scalar(c), 2) for c in marks],
+                                                   backend.scalar(b))
+
+    # label transport fails mostly on untrimmed trees
+    rho = draw(st.sampled_from([None, None, None, Fraction(1), Fraction(2), Fraction(3)]))
+    return poly(cs, b), poly(cs2, b2), rho, draw(st.integers(2, 4))
+
+
+def _padic_pair(p, marks, b, marks2, b2, rho=None, depth=3):
+    def poly(marks, b):
+        return MarkedPolynomial.from_critical_data(
+            [(PAdic(p).scalar(Fraction(c)), 2) for c in marks], PAdic(p).scalar(Fraction(b)))
+    return poly(marks, b), poly(marks2, b2), rho, depth
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except TamedynError as e:
+        return None, (type(e), str(e), getattr(e, "witness_a", None),
+                      getattr(e, "witness_b", None), getattr(e, "level", None))
+
+
+@settings(max_examples=150)
+@given(pair=conjugacy_pairs())
+# one pair for each way the transport fails, and one for clause (iii)
+@example(pair=_padic_pair(5, ["9", "-9"], "-7/125", ["51/5", "-51/5"], "-7/125"))
+@example(pair=_padic_pair(5, ["9/5", "-6/5", "-3/5"], "8/125", ["69/5", "-6/5", "-63/5"],
+                          "-367/125", depth=2))
+@example(pair=_padic_pair(7, ["8", "5/7", "-61/7"], "6/49", ["78", "5/7", "-551/7"], "6/49"))
+@example(pair=_padic_pair(5, ["-6", "6", "0"], "7/125", ["39", "6", "-45"], "-43/125", depth=4))
+@example(pair=_padic_pair(7, ["4/7", "-4/7"], "1/2401", ["-8/7", "8/7"], "1/2401"))
+def test_key_map_matches_label_transport(pair):
+    f, g, rho, depth = pair
+    h, err = _outcome(lambda: build_conjugacy(f, g, rho, depth=depth))
+    oracle, oracle_err = _outcome(lambda: _label_transport(f, g, rho, depth))
+    assert err == oracle_err
+    if err is not None:
+        return
+    src, tgt, fmap, translations, bound = oracle
+    assert (h.vertex_map, h.rho_bound) == (fmap, bound)
+    report = verify_extendable(h)
+    expected = VerificationReport(_isometry_by_edges(src, tgt, fmap), report.equivariance,
+                                  _translation_with_children(src, tgt, fmap, translations),
+                                  report.boettcher_at_infinity)
+    assert report.to_dict() == expected.to_dict()
+    # the key map carries the source edges onto the target edges, lengths kept
+    assert ({(fmap[e.lower], fmap[e.upper]): e.length for e in src.edges}
+            == {(e.lower, e.upper): e.length for e in tgt.edges})

@@ -108,6 +108,16 @@ class TestLift:
             lift(f, g, Q3.scalar(0), target=10)
         assert e.value.clause == 3
 
+    @pytest.mark.parametrize("where", ["g", "x"])
+    @pytest.mark.parametrize("other", [PAdic(7), SeriesT(precision=24)])
+    def test_hypothesis_one_backend(self, where, other):
+        f = poly(0, 1, 1, backend=PAdic(5))
+        g = poly(0, 1, 1, backend=other if where == "g" else PAdic(5))
+        x = (other if where == "x" else PAdic(5)).scalar(0)
+        with pytest.raises(HypothesisViolated) as e:
+            lift(f, g, x, target=10)
+        assert e.value.clause == "backend"
+
     def test_max_iter(self, monkeypatch):
         f = poly(0, 1, 1)
         g = poly(27, 1, 1)

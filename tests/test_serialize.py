@@ -171,6 +171,14 @@ def test_domain_errors_keep_their_class():
         polynomial_from_json(_cubic(marks=[{"c": "1/5", "mult": 1}]))
 
 
+@pytest.mark.parametrize("data", [{"coeffs": ["0", "0", "0", "1"]}, {"b": "0"}])
+def test_coincident_marks_are_refused_on_both_construction_paths(data):
+    # z^3 has the one critical point 0 of local degree 3, not two of degree 2
+    marks = [{"c": "0", "mult": 2}, {"c": "0", "mult": 2}]
+    with pytest.raises(InvalidMarks, match="coincident marks"):
+        polynomial_from_json({"backend": {"kind": "padic", "p": 5}, "marks": marks, **data})
+
+
 # -- JSON round trips ------------------------------------------------------------
 
 # marks -> critical data of a monic centered polynomial: sum (d_i - 1) c_i = 0

@@ -420,6 +420,20 @@ class TestSeriesSpan:
             qt.scalar(terms=[(-gap, 1), (0, 1)])
 
 
+def _newton_root(u: Fraction, n: int, p: int, target: int) -> int:
+    """The p-adic root by Newton iteration on integers modulo p^(target + 2),
+    stopped once w^n - u has valuation >= target."""
+    m = p ** (target + 2)
+    U = u.numerator * pow(u.denominator, -1, m) % m
+    w = 1
+    for _ in range(2 * target + 12):
+        r = (pow(w, n, m) - U) % m
+        if r == 0 or int_valuation(r, p) >= target:
+            return w
+        w = (w - r * pow(n * pow(w, n - 1, m), -1, m)) % m
+    raise AssertionError("Newton iteration did not reach the target")
+
+
 class TestNthRootUnit:
     def test_identity_index(self):
         u = Q3.scalar(F(7, 5))
@@ -429,7 +443,7 @@ class TestNthRootUnit:
     def test_padic_square_root(self):
         u = Q3.scalar(1 + 3)
         w = nth_root_unit(u, 2, precision=6)
-        # checked by squaring: the oracle is independent of the Newton path
+        # checked by squaring: the oracle is independent of how the root is found
         assert (w * w - u).valuation() >= Val(6)
         assert (w - Q3.one).valuation() >= Val(1)
 
@@ -437,6 +451,23 @@ class TestNthRootUnit:
         u = Q3.scalar(F(1 + 2 * 27, 1))
         w = nth_root_unit(u, 4, precision=12)
         assert (w ** 4 - u).valuation() >= Val(12)
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_padic_closed_form_against_newton(self, data):
+        # p = 2 is the case whose unit group mod 2^K is not cyclic
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(min_value=1, max_value=40).filter(lambda n: n % p))
+        a = data.draw(st.integers(min_value=-1000, max_value=1000))
+        b = data.draw(st.integers(min_value=1, max_value=1000).filter(lambda b: b % p))
+        precision = data.draw(st.integers(min_value=-3, max_value=80))
+        target = max(1, precision)
+        u = 1 + p * F(a, b)
+        w = nth_root_unit(PAdic(p).scalar(u), n, precision=precision)
+        assert (w ** n - PAdic(p).scalar(u)).valuation() >= Val(target)
+        assert (w - PAdic(p).one).valuation() >= Val(1)
+        if n > 1:
+            assert (w.rational - _newton_root(u, n, p, target)) % p ** target == 0
 
     def test_root_unavailable(self):
         u = Q3.scalar(4)
