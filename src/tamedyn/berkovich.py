@@ -60,10 +60,6 @@ class BerkPoint:
         """Whether the classical point b lies in the closed disk."""
         return (b - self.center).valuation() >= self.radius_exp
 
-    def modulus_exp(self) -> Val:
-        """Exponent of |x| = sup of |z| over the disk: min(v(center), q)."""
-        return min(self.center.valuation(), self.radius_exp)
-
     def __eq__(self, other):
         if not isinstance(other, BerkPoint):
             return NotImplemented

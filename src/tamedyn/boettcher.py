@@ -131,12 +131,8 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
     for mark_f, mark_g, m in zip(f.marks, g.marks, exits_f):
         if m is None:
             continue
-        wf = mark_f.point
-        for _ in range(m):
-            wf = f(wf)
-        wg = mark_g.point
-        for _ in range(m):
-            wg = g(wg)
+        wf = f.orbit(mark_f, m)[m]
+        wg = g.orbit(mark_g, m)[m]
         pf = phi_eval(f, wf, precision)
         pg = phi_eval(g, wg, precision)
         diff_v = (pf - pg).valuation()

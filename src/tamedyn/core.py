@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare
-from tamedyn.escape import DEFAULT_BUDGET, Escaping, Unknown, classify_critical
+from tamedyn import escape
+from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import Scalar, Val
 
@@ -71,12 +72,11 @@ class BoundaryMark:
 
 
 class CoreTree:
-    def __init__(self, f, rho, depth, budget, fwd_depth, vertices, edges,
+    def __init__(self, f, rho, depth, fwd_depth, vertices, edges,
                  dynamics, boundary, warnings, orbit):
         self.f = f
         self.rho = rho  # Fraction or None (= untrimmed)
         self.depth = depth
-        self.budget = budget
         self.fwd_depth = fwd_depth
         self.vertices: tuple[CoreVertex, ...] = vertices
         self.edges: tuple[CoreEdge, ...] = edges
@@ -86,10 +86,6 @@ class CoreTree:
         self._orbit = orbit  # (mark, iterate) -> Scalar
         self._index = {(v.point.radius_exp, label): vi
                        for vi, v in enumerate(vertices) for label in v.witnesses}
-
-    @property
-    def base_point(self) -> BerkPoint:
-        return self.f.base_point()
 
     def vertex_at(self, radius_exp: Val, label: tuple[int, int]) -> int | None:
         """Index of the vertex of this radius exponent around orbit value `label`."""
@@ -120,7 +116,7 @@ class CoreTree:
             "schema": 1,
             "rho": "inf" if self.rho is None else str(self.rho),
             "depth": self.depth,
-            "budget": self.budget,
+            "budget": escape.BUDGET,
             "fwd_depth": self.fwd_depth,
             "base_radius_exp": str(self.f.base_radius_exp),
             "vertices": verts,
@@ -134,17 +130,17 @@ class CoreTree:
         }
 
 
-def _axis_only_tree(f, rho, depth, budget, warnings) -> CoreTree:
+def _axis_only_tree(f, rho, depth, warnings) -> CoreTree:
     boundary = (
         BoundaryMark("julia_base", None, "base point bounds the tree from below"),
         BoundaryMark("to_infinity", None, "open axis toward infinity"),
     )
-    return CoreTree(f, rho, depth, budget, max(2, depth), (), (), (), boundary,
+    return CoreTree(f, rho, depth, max(2, depth), (), (), (), boundary,
                     tuple(warnings), {})
 
 
 def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
-               depth: int = DEFAULT_DEPTH, budget: int = DEFAULT_BUDGET) -> CoreTree:
+               depth: int = DEFAULT_DEPTH) -> CoreTree:
     """Construct the truncated tree; rho = None means untrimmed."""
     f.require_tame()
     base = f.base_radius_exp
@@ -153,7 +149,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
 
     exits: dict[int, int] = {}
     for i, mark in enumerate(f.marks):
-        rec = classify_critical(f, mark, budget)
+        rec = classify_critical(f, mark)
         if isinstance(rec, Escaping):
             exits[i] = rec.first_exit
         elif isinstance(rec, Unknown):
@@ -161,16 +157,12 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                 f"mark {i} unresolved within budget; tree is a verified subtree"
             )
     if not exits:
-        return _axis_only_tree(f, rho, depth, budget, warnings)
+        return _axis_only_tree(f, rho, depth, warnings)
 
     fwd = max(2, depth)
-    orbit: dict[tuple[int, int], Scalar] = {}
-    for i, m in exits.items():
-        w = f.marks[i].point
-        orbit[(i, 0)] = w
-        for n in range(1, m + fwd + 1):
-            w = f(w)
-            orbit[(i, n)] = w
+    orbit: dict[tuple[int, int], Scalar] = {
+        (i, n): w for i, m in exits.items()
+        for n, w in enumerate(f.orbit(f.marks[i], m + fwd)[:m + fwd + 1])}
     # ray maps on every value with a successor: the last one of each orbit
     # is never stepped from, forward, backward or by a rho cut
     segs = {(i, n): f.segment_dynamics(w) for (i, n), w in orbit.items() if n < exits[i] + fwd}
@@ -330,7 +322,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     if depth_truncated:
         warnings.append(f"vertices beyond level {depth} were pruned")
 
-    return CoreTree(f, rho, depth, budget, fwd, vertices, tuple(edges), tuple(dynamics),
+    return CoreTree(f, rho, depth, fwd, vertices, tuple(edges), tuple(dynamics),
                     tuple(boundary), tuple(warnings), orbit)
 
 

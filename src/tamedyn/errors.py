@@ -42,10 +42,6 @@ class NotTame(TamedynError):
         self.witness = witness
 
 
-class NotInBasin(TamedynError):
-    pass
-
-
 class BudgetExhausted(TamedynError):
     pass
 

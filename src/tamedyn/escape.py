@@ -1,7 +1,10 @@
 """Orbit classification of critical points and the basin-of-infinity tests.
 
 Escape is decided by exact iteration: the orbit leaves the base disk or
-it does not within the budget.  Non-escape is certified in two ways.
+it does not within BUDGET steps.  Each mark's orbit is iterated once per
+polynomial, through the store `MarkedPolynomial.orbit`, and its record
+is kept on the polynomial; the core tree and the coordinate comparison
+read the same values.  Non-escape is certified in two ways.
 An exact cycle of orbit values makes the mark bounded; the kind of its
 bounded component is then resolved by pulling the base point back along
 the orbit with exact piecewise-linear inversions.  Over PAdic with base
@@ -32,12 +35,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from tamedyn.berkovich import BerkPoint
-from tamedyn.errors import BudgetExhausted, NotInBasin
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.valued_field import Scalar, Val
 
-DEFAULT_BUDGET = 64
+BUDGET = 64  # orbit steps searched for an exit or a cycle, read at call time
 MAX_HEIGHT_BITS = 100_000
 
 
@@ -111,30 +112,25 @@ def _wanders(f: MarkedPolynomial, z: Fraction) -> bool:
     return abs(n) * L > f._real_bound * m or m > L or L % m != 0
 
 
-def _orbit_until_exit(f: MarkedPolynomial, start: Scalar, budget: int):
-    """("escape", m, values) on first exit, ("cycle", (preperiod, period),
-    values), or ("unknown", n, values) when no cycle was found by step n:
-    the budget ran out, the height guard tripped, or `_wanders` proved
-    that none will be."""
+def _orbit_until_exit(f: MarkedPolynomial, mark: CriticalMark):
+    """("escape", m) when f^m(c) is the first value outside the base disk,
+    ("cycle", (preperiod, period)), or ("unknown", n) when no cycle was
+    found by step n: the budget ran out, the height guard tripped, or
+    `_wanders` proved that none will be.  The values are read from and
+    added to the mark's stored orbit."""
     base = Val(f.base_radius_exp)
-    values = [start]
-    if start.valuation() < base:
-        return "escape", 0, values
     certify = f._int_coeffs is not None and f.base_radius_exp == 0
-    seen = {start: 0}
-    z = start
-    for n in range(1, budget + 1):
-        z = f(z)
+    seen: dict[Scalar, int] = {}
+    for n in range(BUDGET + 1):
+        z = f.orbit(mark, n)[n]
         if z.valuation() < base:
-            values.append(z)
-            return "escape", n, values
+            return "escape", n
         if z in seen:
-            return "cycle", (seen[z], n - seen[z]), values
-        if (certify and _wanders(f, z.rational)) or _height_bits(z) > MAX_HEIGHT_BITS:
-            return "unknown", n, values
+            return "cycle", (seen[z], n - seen[z])
+        if n and ((certify and _wanders(f, z.rational)) or _height_bits(z) > MAX_HEIGHT_BITS):
+            return "unknown", n
         seen[z] = n
-        values.append(z)
-    return "unknown", budget, values
+    return "unknown", BUDGET
 
 
 def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -> Bounded:
@@ -155,24 +151,23 @@ def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -
     return Bounded("disk", diam_exp=q, preperiod=preperiod, period=period)
 
 
-def classify_critical(f: MarkedPolynomial, mark: CriticalMark,
-                      budget: int = DEFAULT_BUDGET) -> EscapeRecord:
+def classify_critical(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
     """EscapeRecord of a marked critical point under exact iteration.
 
-    Each (mark, budget) is classified once per polynomial: the record is
-    kept on f, so the classification report, the core tree and the
-    conjugacy checks share one orbit per mark.
+    Each mark is classified once per polynomial, within the BUDGET read at
+    that time: the record and the orbit are kept on f, so the
+    classification report, the core tree and the conjugacy checks share
+    one orbit per mark.
     """
-    key = (mark, budget)
-    rec = f._records.get(key)
+    rec = f._records.get(mark)
     if rec is None:
-        rec = f._records[key] = _classify(f, mark, budget)
+        rec = f._records[mark] = _classify(f, mark)
     return rec
 
 
-def _classify(f: MarkedPolynomial, mark: CriticalMark, budget: int) -> EscapeRecord:
+def _classify(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
     f.require_tame()
-    status, data, values = _orbit_until_exit(f, mark.point, budget)
+    status, data = _orbit_until_exit(f, mark)
     if status == "escape":
         return Escaping(data)
     if status == "unknown":
@@ -186,39 +181,10 @@ def _classify(f: MarkedPolynomial, mark: CriticalMark, budget: int) -> EscapeRec
             return Bounded("disk", diam_exp=Fraction(0))
         return Unknown(data)
     preperiod, period = data
-    return _resolve_bounded(f, values, preperiod, period)
+    return _resolve_bounded(f, f.orbit(mark, preperiod + period), preperiod, period)
 
 
-def boettcher_modulus(f: MarkedPolynomial, x, budget: int = DEFAULT_BUDGET) -> Val:
-    """Exact exponent of the extended coordinate modulus at x.
-
-    Iterates until the point leaves the base disk, then divides the exit
-    exponent by the accumulated degree power; exact rational.
-    """
-    if isinstance(x, Scalar):
-        x = BerkPoint.classical(x)
-    base = Val(f.base_radius_exp)
-    d = f.degree
-    if f.base_radius_exp == 0 and x.modulus_exp() >= base:
-        raise NotInBasin("the unit disk is the filled Julia set here")
-    cur = x
-    seen = []
-    for n in range(budget + 1):
-        e = cur.modulus_exp()
-        if e < base:
-            return Val(e.finite / d ** n)
-        for old in seen:
-            if old == cur:
-                raise NotInBasin("orbit is periodic inside the base disk")
-        seen.append(cur)
-        if _height_bits(cur.center) > MAX_HEIGHT_BITS:
-            raise BudgetExhausted("orbit values exceeded the height guard")
-        img, _ = f.image_point(cur)
-        cur = img
-    raise BudgetExhausted(f"no exit from the base disk within {budget} iterations")
-
-
-def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET):
+def classification_report(f: MarkedPolynomial):
     """Per-mark EscapeRecords plus the aggregate classification.
 
     Aggregation order: all escaping -> TameShiftLocus; all bounded at a
@@ -227,7 +193,7 @@ def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET):
     JuliaInAffine; anything unresolved -> Unknown.
     """
     f.require_tame()
-    records = [classify_critical(f, m, budget) for m in f.marks]
+    records = [classify_critical(f, m) for m in f.marks]
     base = f.base_radius_exp
 
     def is_fixed_full_disk(mark, rec):
@@ -235,7 +201,7 @@ def classification_report(f: MarkedPolynomial, budget: int = DEFAULT_BUDGET):
             isinstance(rec, Bounded)
             and rec.kind == "disk"
             and rec.diam_exp == base
-            and f(mark.point) == mark.point
+            and f.orbit(mark, 1)[1] == mark.point
         )
 
     if all(isinstance(r, Escaping) for r in records):

@@ -194,7 +194,8 @@ class MarkedPolynomial:
         self.backend = coeffs[0].backend
         self.degree = len(coeffs) - 1
         self._tameness: TamenessReport | None = None
-        self._records: dict = {}  # (mark, budget) -> EscapeRecord, kept by escape.classify_critical
+        self._records: dict = {}  # mark -> EscapeRecord, kept by escape.classify_critical
+        self._orbits: dict = {}  # mark -> [c, f(c), f^2(c), ...], extended by orbit()
         # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2
         self.base_radius_exp = Fraction(0)
         for i in range(self.degree - 1):
@@ -224,8 +225,6 @@ class MarkedPolynomial:
             raise InvalidMarks("the constant term and the marks are over different backends")
         zero = backend.zero
         d = 1 + sum(m.multiplicity - 1 for m in marks)
-        if d < 2:
-            raise InvalidMarks("degree must be >= 2")
         weighted = zero
         chart = zero
         for m in marks:
@@ -281,6 +280,15 @@ class MarkedPolynomial:
             num //= h
             den //= h
         return coprime_fraction(num, den)
+
+    def orbit(self, mark: CriticalMark, n: int) -> list[Scalar]:
+        """The stored orbit [c, f(c), f^2(c), ...] of the mark's point c,
+        extended through f^n(c).  Each value is computed once per polynomial;
+        the list may already run past f^n(c)."""
+        values = self._orbits.setdefault(mark, [mark.point])
+        while len(values) <= n:
+            values.append(self(values[-1]))
+        return values
 
     def taylor_at(self, a: Scalar) -> tuple[Scalar, ...]:
         return tuple(taylor_coefficients(self.coeffs, a, self.backend.zero))

@@ -1,4 +1,4 @@
-"""JSON encoding of scalars, points, polynomials and reports.
+"""JSON encoding of scalars and exponents, and parsing of polynomial documents.
 
 Every numeric field is an exact rational string ("a/b", "inf"); series
 scalars are sorted (exponent, coefficient) pair lists.  Encoders keep a
@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import TamedynError
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial
-from tamedyn.valued_field import INF, PAdic, Scalar, SeriesT, Val
+from tamedyn.valued_field import PAdic, Scalar, SeriesT, Val
 
 
 class InputError(TamedynError):
@@ -85,22 +84,6 @@ def val_str(v: Val) -> str:
     return "inf" if v.is_infinite else str(v.finite)
 
 
-def val_from_str(s: str) -> Val:
-    if s == "inf":
-        return INF
-    return Val(_json_rational(s))
-
-
-def backend_to_json(backend) -> dict:
-    if isinstance(backend, PAdic):
-        return {"kind": "padic", "p": backend.p}
-    return {
-        "kind": "series",
-        "precision": str(backend.precision),
-        "ram_den": backend.ram_den,
-    }
-
-
 def backend_from_json(data: dict):
     try:
         kind = data["kind"]
@@ -128,30 +111,6 @@ def scalar_from_json(backend, data) -> Scalar:
         return backend.scalar(terms=[(_json_rational(e), _json_rational(c)) for e, c in data])
     except _MALFORMED as exc:
         raise InputError(f"bad scalar literal {data!r}: {exc}") from exc
-
-
-def point_to_json(x: BerkPoint) -> dict:
-    return {"center": scalar_to_json(x.center), "radius_exp": val_str(x.radius_exp)}
-
-
-def point_from_json(backend, data) -> BerkPoint:
-    try:
-        return BerkPoint(
-            scalar_from_json(backend, data["center"]), val_from_str(data["radius_exp"])
-        )
-    except _MALFORMED as exc:
-        raise InputError(f"bad point {data!r}: {exc}") from exc
-
-
-def polynomial_to_json(f: MarkedPolynomial) -> dict:
-    return {
-        "backend": backend_to_json(f.backend),
-        "degree": f.degree,
-        "marks": [
-            {"c": scalar_to_json(m.point), "mult": m.multiplicity} for m in f.marks
-        ],
-        "b": scalar_to_json(f.coeffs[0]),
-    }
 
 
 def polynomial_from_json(data: dict) -> MarkedPolynomial:

@@ -9,13 +9,16 @@ of length degree x length, dynamics maps ancestors to ancestors).
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tamedyn import escape
 from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
 from tamedyn.core import build_core
-from tamedyn.escape import classify_critical
+from tamedyn.escape import Escaping, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
+from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic, Val
 
 AT_MOST = (Comparison.LESS, Comparison.EQUAL)
@@ -43,8 +46,14 @@ def escaping_polynomials(draw):
                                                backend.scalar(b))
 
 
+def _tree(f, rho, depth):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(escape, "BUDGET", 12)
+        return build_core(f, rho=rho, depth=depth)
+
+
 TREES = st.builds(
-    lambda f, rho, depth: build_core(f, rho=rho, depth=depth, budget=12),
+    _tree,
     escaping_polynomials(),
     st.sampled_from([None, Fraction(1), Fraction(2), Fraction(7, 2)]),
     st.integers(min_value=1, max_value=4),
@@ -57,7 +66,7 @@ def _linear_index(tree, point):
 
 def _seg_count(tree, x):
     """Vertices on the segment [x, base point]; 0 when x is not below the base point."""
-    base = tree.base_point
+    base = tree.f.base_point()
     if compare(x, base) not in AT_MOST:
         return 0
     return sum(1 for u in tree.vertices
@@ -163,3 +172,30 @@ def test_no_taylor_data_at_the_last_orbit_value(monkeypatch):
         tree = build_core(f, rho=rho, depth=3)
         last = {tree.orbit_value(i, m + tree.fwd_depth) for i, m in exits.items()}
         assert expanded and last.isdisjoint(expanded)
+
+
+def _series_cubic(precision, ram_den, lead, b_exp):
+    """Cubic over SeriesT(precision, ram_den): marks +-t^lead, b = t^b_exp."""
+    return polynomial_from_json({
+        "backend": {"kind": "series", "precision": precision, "ram_den": ram_den},
+        "marks": [{"c": [[lead, c]], "mult": 2} for c in ("1", "-1")],
+        "b": [[b_exp, "1"]],
+    })
+
+
+@settings(max_examples=60)
+@given(f=escaping_polynomials())
+# the polynomials of core-series30-cubic-d2.json and core-series10-r2-cubic-d2.json
+@example(f=_series_cubic("30", 1, "-1", "-4"))
+@example(f=_series_cubic("10", 2, "-1/2", "-2"))
+def test_base_point_sits_at_the_fastest_critical_escape_rate(f):
+    # past the first exit m, v(f^(n+1)(c)) = d v(f^n(c)), so v(f^m(c))/d^m
+    # is the escape rate of the mark; the fastest one is the base exponent
+    rates = []
+    for mark in f.marks:
+        rec = classify_critical(f, mark)
+        if isinstance(rec, Escaping):
+            m = rec.first_exit
+            rates.append(Fraction(f.orbit(mark, m)[m].valuation().finite, f.degree ** m))
+    assume(rates)
+    assert min(rates) == f.base_radius_exp

@@ -5,22 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tamedyn import escape
-from tamedyn.berkovich import BerkPoint
+from tamedyn import boettcher, escape
+from tamedyn.boettcher import rho_closeness
 from tamedyn.conjugacy import build_conjugacy
 from tamedyn.core import build_core
-from tamedyn.errors import BudgetExhausted, NotInBasin
 from tamedyn.escape import (
     Bounded,
     Classification,
     Escaping,
     Unknown,
-    boettcher_modulus,
     classification_report,
     classify_critical,
     iterate_pl_to_limit,
 )
-from tamedyn.polynomial import MarkedPolynomial, PiecewiseMonomial
+from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic, SeriesT, Val
 
@@ -91,16 +89,18 @@ class TestClassifyCritical:
         assert rec1 == Bounded("point", preperiod=1, period=1)
         assert rec2 == Escaping(1)
 
-    def test_invariant_unit_disk_certificate(self):
+    def test_invariant_unit_disk_certificate(self, monkeypatch):
         # orbit of 0 under z^2 + 3 never cycles exactly, but the unit disk
         # is the filled Julia set (base exponent 0), certifying boundedness
+        monkeypatch.setattr(escape, "BUDGET", 12)
         f = quad(3)
-        rec = classify_critical(f, f.marks[0], budget=12)
+        rec = classify_critical(f, f.marks[0])
         assert rec == Bounded("disk", diam_exp=F(0))
 
-    def test_unknown_without_cycle(self):
+    def test_unknown_without_cycle(self, monkeypatch):
         # orbit of 0: valuations lock at 2 (no escape), values never
         # cycle, and the base exponent is -1 so no structural certificate
+        monkeypatch.setattr(escape, "BUDGET", 12)
         f = MarkedPolynomial.from_critical_data(
             [
                 (Q3.scalar(0), 2),
@@ -109,60 +109,16 @@ class TestClassifyCritical:
             ],
             Q3.scalar(9),
         )
-        rec = classify_critical(f, f.marks[0], budget=12)
+        rec = classify_critical(f, f.marks[0])
         assert isinstance(rec, Unknown)
 
-    def test_escape_stable_under_budget(self):
-        f = quad(-1, 3)
-        assert classify_critical(f, f.marks[0], budget=8) == classify_critical(
-            f, f.marks[0], budget=128
-        )
-
-
-class TestBoettcherModulus:
-    def test_at_escaping_critical(self):
-        f = quad(-1, 3)
-        assert boettcher_modulus(f, Q3.scalar(0)) == Val(F(-1, 2))
-
-    def test_equals_modulus_outside(self):
-        f = quad(0)
-        x = BerkPoint(Q3.scalar(0), -2)
-        assert boettcher_modulus(f, x) == Val(-2)
-
-    def test_functional_equation(self):
-        f = quad(-1, 3)
-        pts = [Q3.scalar(F(1, 3)), Q3.scalar(F(2, 9)), Q3.scalar(5)]
-        for z in pts:
-            lhs = boettcher_modulus(f, f(z))
-            rhs = boettcher_modulus(f, z)
-            assert lhs.finite == rhs.finite * f.degree
-
-    def test_base_identity_for_nonsimple(self):
-        # base exponent = min over escaping marks of the modulus exponent
-        f = quad(-1, 3)
-        exps = [
-            boettcher_modulus(f, m.point).finite
-            for m in f.marks
-            if isinstance(classify_critical(f, m), Escaping)
-        ]
-        assert min(exps) == f.base_radius_exp
-
-    def test_not_in_basin(self):
-        f = quad(0)
-        with pytest.raises(NotInBasin):
-            boettcher_modulus(f, Q3.scalar(0))
-
-    def test_budget_exhausted(self):
-        f = MarkedPolynomial.from_critical_data(
-            [
-                (Q3.scalar(0), 2),
-                (Q3.scalar(F(1, 3)), 2),
-                (Q3.scalar(F(-1, 3)), 2),
-            ],
-            Q3.scalar(9),
-        )
-        with pytest.raises(BudgetExhausted):
-            boettcher_modulus(f, Q3.scalar(0), budget=10)
+    def test_escape_stable_under_budget(self, monkeypatch):
+        records = []
+        for budget in (8, 128):
+            monkeypatch.setattr(escape, "BUDGET", budget)
+            f = quad(-1, 3)
+            records.append(classify_critical(f, f.marks[0]))
+        assert records[0] == records[1]
 
 
 class TestClassificationSuite:
@@ -178,11 +134,13 @@ class TestClassificationSuite:
     def test_julia_in_affine(self):
         assert classification_report(julia_cubic())[0] is Classification.JULIA_IN_AFFINE
 
-    def test_certified_invariant_disk_classifies(self):
+    def test_certified_invariant_disk_classifies(self, monkeypatch):
         # not a fixed critical point, so the disk verdict wins
-        assert classification_report(quad(3), budget=12)[0] is Classification.HAS_BOUNDED_FATOU
+        monkeypatch.setattr(escape, "BUDGET", 12)
+        assert classification_report(quad(3))[0] is Classification.HAS_BOUNDED_FATOU
 
-    def test_unknown(self):
+    def test_unknown(self, monkeypatch):
+        monkeypatch.setattr(escape, "BUDGET", 12)
         f = MarkedPolynomial.from_critical_data(
             [
                 (Q3.scalar(0), 2),
@@ -191,7 +149,7 @@ class TestClassificationSuite:
             ],
             Q3.scalar(9),
         )
-        assert classification_report(f, budget=12)[0] is Classification.UNKNOWN
+        assert classification_report(f)[0] is Classification.UNKNOWN
 
     def test_report_contains_records(self):
         cls, records = classification_report(quad(-1, 3))
@@ -278,9 +236,9 @@ class TestClassifyOnce:
         started = []
         original = escape._orbit_until_exit
 
-        def counted(f, start, budget):
-            started.append((id(f), start))
-            return original(f, start, budget)
+        def counted(f, mark):
+            started.append((id(f), mark.point))
+            return original(f, mark)
 
         monkeypatch.setattr(escape, "_orbit_until_exit", counted)
         return started
@@ -288,7 +246,7 @@ class TestClassifyOnce:
     @staticmethod
     def _fresh_records(case):
         f = _padic(*case)
-        return [escape._classify(f, m, escape.DEFAULT_BUDGET) for m in f.marks]
+        return [escape._classify(f, m) for m in f.marks]
 
     @pytest.mark.parametrize("name", sorted(ONCE_CASES))
     def test_report_and_core_share_one_orbit_per_mark(self, monkeypatch, name):
@@ -311,13 +269,60 @@ class TestClassifyOnce:
         assert [classify_critical(f, m) for m in f.marks] == self._fresh_records(case)
         assert [classify_critical(g, m) for m in g.marks] == self._fresh_records(moved)
 
-    def test_each_budget_is_its_own_record(self):
-        f = _padic(*ONCE_CASES["unknown quartic"])
-        assert classify_critical(f, f.marks[0], budget=3) == Unknown(3)
-        assert classify_critical(f, f.marks[0]) == Unknown(9)
+
+SERIES30 = {"kind": "series", "precision": "30", "ram_den": 1}
 
 
-def _guard_only_record(f, mark, budget=escape.DEFAULT_BUDGET):
+def _series30_cubic(b):
+    """Cubic over SeriesT(30) with marks +-t^-1 and b given as a series literal."""
+    return polynomial_from_json({"backend": SERIES30, "b": b,
+                                 "marks": [{"c": [["-1", c]], "mult": 2} for c in ("1", "-1")]})
+
+
+# (f, g): both marks escape; a quadratic 2-cycle, whose record reaches the
+# fixed-point check of the report; the series baseline.  g moves b a little.
+STORE_CASES = {
+    "escaping cubic": lambda: (_padic(5, ["1/5", "-1/5"], "1/25"),
+                               _padic(5, ["1/5", "-1/5"], str(Fraction(1, 25) + 5 ** 4))),
+    "quad(-1)": lambda: (quad(-1), quad(-1 + 3 ** 4)),
+    "series cubic": lambda: (_series30_cubic([["-4", "1"]]),
+                             _series30_cubic([["-4", "1"], ["20", "1"]])),
+}
+
+
+class TestOrbitStore:
+    """Each critical orbit value is computed once per polynomial: the
+    report, the core tree and the coordinate comparison read the mark's
+    stored orbit instead of iterating f again."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        original = MarkedPolynomial.__call__
+        monkeypatch.setattr(MarkedPolynomial, "__call__",
+                            lambda self, z: calls.append(z) or original(self, z))
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_report_and_core_evaluate_each_orbit_value_once(self, monkeypatch, name):
+        f, _ = STORE_CASES[name]()
+        calls = self._count_calls(monkeypatch)
+        classification_report(f)
+        build_core(f, depth=3)
+        assert len(calls) == sum(len(f.orbit(m, 0)) - 1 for m in f.marks)
+
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_rho_closeness_reads_the_stored_orbits(self, monkeypatch, name):
+        f, g = STORE_CASES[name]()
+        classification_report(f)
+        classification_report(g)
+        calls = self._count_calls(monkeypatch)
+        monkeypatch.setattr(boettcher, "phi_eval", lambda f, z, precision: z)
+        rho_closeness(f, g)
+        assert calls == []
+
+
+def _guard_only_record(f, mark, budget=escape.BUDGET):
     """The record of exact iteration without the wandering certificate: a
     cycle, an exit, or the whole unit disk once the height guard or the
     budget stops the orbit (base exponent 0 only)."""
@@ -373,7 +378,7 @@ class TestWanderingCertificate:
         f = quad(b.numerator, b.denominator, backend=PAdic(p))
         for z in orbit:
             assert not escape._wanders(f, z)
-            status, _, _ = escape._orbit_until_exit(f, f.backend.scalar(z), escape.DEFAULT_BUDGET)
+            status, _ = escape._orbit_until_exit(f, CriticalMark(f.backend.scalar(z), 2))
             assert status == "cycle"
 
     @settings(max_examples=60, deadline=None)
@@ -387,7 +392,7 @@ class TestWanderingCertificate:
     def test_certified_orbits_never_repeat(self, f):
         for mark in f.marks:
             orbit, certified_at = [mark.point], None
-            while len(orbit) <= escape.DEFAULT_BUDGET:
+            while len(orbit) <= escape.BUDGET:
                 z = f(orbit[-1])
                 if certified_at is None:
                     if z in orbit:
