@@ -25,11 +25,10 @@ from tamedyn.errors import (
     NotComparable,
     NotOutsideBaseDisk,
     PrecisionExhausted,
-    RootUnavailable,
 )
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import INF, PAdic, Scalar, SeriesT, Val, nth_root_unit
+from tamedyn.valued_field import INF, Scalar, SeriesT, Val, nth_root_unit
 
 DEFAULT_PRECISION = Fraction(40)
 ROOT_MARGIN = 4
@@ -38,15 +37,11 @@ ROOT_MARGIN = 4
 def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Scalar:
     """phi(z) to the given absolute valuation precision.
 
-    Requires |z| strictly outside the closed base disk; over PAdic the
-    residue characteristic must not divide the degree (root extraction).
+    Requires |z| strictly outside the closed base disk.
     """
-    f.require_tame()
     precision = Fraction(precision)
     backend = f.backend
     d = f.degree
-    if isinstance(backend, PAdic) and d % backend.p == 0:
-        raise RootUnavailable(f"{backend.p} divides the degree {d}")
     base = f.base_radius_exp
     v0 = z.valuation()
     if not (v0 < Val(base)):
@@ -79,7 +74,6 @@ class RhoBound:
     precision (the spec's operational reading of equal coordinates)."""
 
     rho_exp: Val
-    precision: Fraction
 
     @property
     def is_infinite(self) -> bool:
@@ -109,8 +103,6 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
     propagated by the degree-d isometry off the axis.
     """
     precision = Fraction(precision)
-    f.require_tame()
-    g.require_tame()
     if f.backend != g.backend:
         raise NotComparable("different backends")
     if f.degree != g.degree:
@@ -139,4 +131,4 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
         if diff_v >= Val(precision):
             continue  # indistinguishable at this precision
         rho = min(rho, diff_v - wf.valuation())
-    return RhoBound(rho, precision)
+    return RhoBound(rho)

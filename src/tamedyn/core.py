@@ -142,7 +142,6 @@ def _axis_only_tree(f, rho, depth, warnings) -> CoreTree:
 def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                depth: int = DEFAULT_DEPTH) -> CoreTree:
     """Construct the truncated tree; rho = None means untrimmed."""
-    f.require_tame()
     base = f.base_radius_exp
     zero = f.backend.zero
     warnings: list[str] = []

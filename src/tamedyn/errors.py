@@ -37,6 +37,9 @@ class InvalidMarks(TamedynError):
 
 
 class NotTame(TamedynError):
+    """A local degree is divisible by the residue characteristic.  Raised
+    only where a MarkedPolynomial is built, with a witness disk."""
+
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness

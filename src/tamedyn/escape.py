@@ -49,7 +49,7 @@ class Escaping:
 
 @dataclass(frozen=True)
 class Bounded:
-    kind: str  # "disk" | "point" | "undetermined"
+    kind: str  # "disk" | "point"
     diam_exp: Fraction | None = None
     preperiod: int = 0
     period: int = 0
@@ -166,7 +166,6 @@ def classify_critical(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
 
 
 def _classify(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
-    f.require_tame()
     status, data = _orbit_until_exit(f, mark)
     if status == "escape":
         return Escaping(data)
@@ -192,7 +191,6 @@ def classification_report(f: MarkedPolynomial):
     disk component -> HasBoundedFatou; escaping/point components only ->
     JuliaInAffine; anything unresolved -> Unknown.
     """
-    f.require_tame()
     records = [classify_critical(f, m) for m in f.marks]
     base = f.base_radius_exp
 

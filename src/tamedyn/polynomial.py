@@ -5,7 +5,9 @@ d_i >= 2 and a constant term b.  The polynomial is recovered exactly by
 formal antidifferentiation of d * prod (z - c_i)^(d_i - 1), so no
 root-finding ever happens.  Local degrees at disks are computed two
 independent ways (Taylor-coefficient maximum and the Riemann-Hurwitz
-critical count) and the test-suite cross-checks them.
+critical count) and the test-suite cross-checks them.  Tameness is
+checked once, when a polynomial is built: no MarkedPolynomial has a local
+degree divisible by the residue characteristic.
 """
 
 from __future__ import annotations
@@ -79,14 +81,6 @@ class CriticalMark:
             raise InvalidMarks("mark multiplicity must be >= 2")
 
 
-@dataclass(frozen=True)
-class TamenessReport:
-    tame: bool
-    witness: BerkPoint | None = None
-    witness_degree: int | None = None
-    degrees: frozenset[int] = frozenset()
-
-
 class PiecewiseMonomial:
     """Exact image of the ray of disks centered at c under f.
 
@@ -151,8 +145,10 @@ def _critical_derivative(marks, d: int, backend) -> list[Scalar]:
 
 def _distinct_marks(marks) -> tuple[CriticalMark, ...]:
     """The marks as CriticalMarks, given as such or as (point, multiplicity);
-    raises InvalidMarks when two of them sit at one point."""
+    raises InvalidMarks unless they share one backend and are distinct."""
     marks = tuple(m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks)
+    if any(m.point.backend != marks[0].point.backend for m in marks):
+        raise InvalidMarks("the marks are over different backends")
     for i, m in enumerate(marks):
         for m2 in marks[i + 1:]:
             if m.point == m2.point:
@@ -165,6 +161,8 @@ def _verify(coeffs, marks):
     with derivative d * prod (z - c_i)^(d_i - 1) over the marks."""
     d = len(coeffs) - 1
     backend = coeffs[0].backend
+    if any(m.point.backend != backend for m in marks):
+        raise InvalidMarks("the coefficients and the marks are over different backends")
     if d < 2:
         raise InvalidMarks("degree must be >= 2")
     if coeffs[d] != backend.one:
@@ -183,8 +181,29 @@ def _verify(coeffs, marks):
             )
 
 
+def _check_tame(marks, backend):
+    """Raise NotTame, with a witness disk, when a local degree is divisible
+    by the residue characteristic p.  For p = 0 (SeriesT) none is.  Over
+    PAdic the local degrees are the cluster sums 1 + sum_{i in S}(d_i - 1)
+    over the mark sets S inside some disk, each a valuation-prefix about
+    one of its members, so O(k^2) clusters suffice.
+    """
+    p = backend.residue_char
+    if p == 0:
+        return
+    for mi in marks:
+        # the disk of radius exponent q about mi holds the marks with v >= q
+        vals = [INF if m is mi else (m.point - mi.point).valuation() for m in marks]
+        for q in sorted(set(vals), reverse=True):
+            deg = 1 + sum(m.multiplicity - 1 for m, v in zip(marks, vals) if v >= q)
+            if deg % p == 0:
+                raise NotTame(f"local degree {deg} divisible by residue characteristic",
+                              witness=BerkPoint(mi.point, q))
+
+
 class MarkedPolynomial:
-    """A monic centered polynomial of degree >= 2 with marked critical data."""
+    """A tame monic centered polynomial of degree >= 2 with marked critical
+    data; tameness is checked once, when it is built."""
 
     def __init__(self, coeffs: list[Scalar], marks: tuple[CriticalMark, ...]):
         """Stores coefficients and marks as given, checking nothing: callers
@@ -193,7 +212,6 @@ class MarkedPolynomial:
         self.marks = marks
         self.backend = coeffs[0].backend
         self.degree = len(coeffs) - 1
-        self._tameness: TamenessReport | None = None
         self._records: dict = {}  # mark -> EscapeRecord, kept by escape.classify_critical
         self._orbits: dict = {}  # mark -> [c, f(c), f^2(c), ...], extended by orbit()
         # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2
@@ -235,6 +253,7 @@ class MarkedPolynomial:
                 "marks do not center the antiderivative: "
                 f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"
             )
+        _check_tame(marks, backend)
         deriv = _critical_derivative(marks, d, backend)
         coeffs = [b] + [deriv[k - 1].scale(Fraction(1, k)) for k in range(1, d + 1)]
         return cls(coeffs, marks)
@@ -245,6 +264,7 @@ class MarkedPolynomial:
         verified against the derivative factorization."""
         marks = _distinct_marks(marks)
         _verify(coeffs, marks)
+        _check_tame(marks, coeffs[0].backend)
         return cls(list(coeffs), marks)
 
     # -- basic evaluation ------------------------------------------------
@@ -296,11 +316,6 @@ class MarkedPolynomial:
     def __repr__(self):
         return f"MarkedPolynomial(degree={self.degree}, marks={len(self.marks)})"
 
-    # -- base point -------------------------------------------------------
-
-    def base_point(self) -> BerkPoint:
-        return BerkPoint(self.backend.zero, Val(self.base_radius_exp))
-
     # -- local degrees ------------------------------------------------------
 
     def image_point(self, x: BerkPoint) -> tuple[BerkPoint, int]:
@@ -322,59 +337,16 @@ class MarkedPolynomial:
 
     def local_degree_rh(self, x: BerkPoint) -> int:
         """Riemann-Hurwitz count: 1 + sum of (d_i - 1) over marks in the disk."""
-        self.require_tame()
         total = 1
         for m in self.marks:
             if x.contains_scalar(m.point):
                 total += m.multiplicity - 1
         return total
 
-    # -- tameness ------------------------------------------------------------
-
-    def tameness_check(self) -> TamenessReport:
-        """Enumerate all achievable local degrees and test the residue
-        characteristic against each.
-
-        Over SeriesT (residue characteristic 0) every polynomial is tame.
-        Over PAdic the achievable degrees are the cluster sums 1 +
-        sum_{i in S}(d_i - 1) over mark subsets S realizable as the marks
-        inside some disk; every such S is a valuation-prefix around one
-        of its members, so O(k^2) clusters suffice.
-        """
-        if self._tameness is not None:
-            return self._tameness
-        p = self.backend.residue_char
-        if p == 0:
-            self._tameness = TamenessReport(True, degrees=frozenset({self.degree}))
-            return self._tameness
-        degrees = set()
-        witness = witness_degree = None
-        for mi in self.marks:
-            # the disk of radius exponent q about mi holds the marks with v >= q
-            vals = [INF if m is mi else (m.point - mi.point).valuation() for m in self.marks]
-            for q in sorted(set(vals), reverse=True):
-                deg = 1 + sum(m.multiplicity - 1 for m, v in zip(self.marks, vals) if v >= q)
-                degrees.add(deg)
-                if deg % p == 0 and witness is None:
-                    witness = BerkPoint(mi.point, q)
-                    witness_degree = deg
-        tame = witness is None
-        self._tameness = TamenessReport(tame, witness, witness_degree, frozenset(degrees))
-        return self._tameness
-
-    def require_tame(self):
-        report = self.tameness_check()
-        if not report.tame:
-            raise NotTame(
-                f"local degree {report.witness_degree} divisible by residue characteristic",
-                witness=report.witness,
-            )
-
     # -- ray dynamics -----------------------------------------------------------
 
     def segment_dynamics(self, c: Scalar) -> PiecewiseMonomial:
         """The exact piecewise map q -> image exponent on the ray at c."""
-        self.require_tame()
         taylor = self.taylor_at(c)
         lines = []
         for k in range(1, len(taylor)):

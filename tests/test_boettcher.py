@@ -67,12 +67,11 @@ class TestPhiEval:
             phi_eval(QUAD, Q3.scalar(1), 10)  # |1| = 1 < 3^(1/2)
 
     def test_wild_degree_rejected(self):
-        # p | d forces p | deg at the base point, so tameness fails first;
-        # the dedicated root check is unreachable for valid inputs
+        # p | d makes the base disk a wild cluster of degree d, so no
+        # polynomial reaching phi_eval has p | d
         Q2 = PAdic(2)
-        f = MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(F(1, 2)))
         with pytest.raises(NotTame):
-            phi_eval(f, Q2.scalar(F(1, 4)), 10)
+            MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(F(1, 2)))
 
     def test_series_backend(self):
         qt = SeriesT(precision=14)

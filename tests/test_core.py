@@ -66,7 +66,7 @@ def _linear_index(tree, point):
 
 def _seg_count(tree, x):
     """Vertices on the segment [x, base point]; 0 when x is not below the base point."""
-    base = tree.f.base_point()
+    base = BerkPoint(tree.f.backend.zero, tree.f.base_radius_exp)
     if compare(x, base) not in AT_MOST:
         return 0
     return sum(1 for u in tree.vertices

@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tamedyn import polynomial
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial, poly_eval
+from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import INF, PAdic, SeriesT, Val, coprime_fraction
 
 Q3 = PAdic(3)
@@ -76,6 +77,16 @@ class TestFromCriticalData:
                 [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], Q3.scalar(0)
             )
 
+    def test_rejects_marks_over_two_backends(self):
+        with pytest.raises(InvalidMarks):
+            MarkedPolynomial.from_critical_data(
+                [(Q3.scalar(1), 2), (Q5.scalar(-1), 2)], Q3.zero
+            )
+
+    def test_rejects_marks_over_another_backend_than_the_coefficients(self):
+        with pytest.raises(InvalidMarks):
+            MarkedPolynomial.from_coefficients(quad_third().coeffs, [(Q5.scalar(0), 2)])
+
     def test_builds_the_derivative_once(self, monkeypatch):
         # one product per factor (z - c_i) of f'; the coefficients are
         # integrated from it, so nothing rebuilds it to check them
@@ -91,20 +102,21 @@ class TestBasePoint:
     def test_type_iii_base(self):
         f = quad_third()
         assert f.base_radius_exp == F(-1, 2)
-        assert f.base_point() == BerkPoint(Q3.zero, Val(F(-1, 2)))
+        assert BerkPoint(f.backend.zero, f.base_radius_exp) == BerkPoint(Q3.zero, Val(F(-1, 2)))
 
     def test_monomial(self):
         f = MarkedPolynomial.from_critical_data([(Q3.scalar(0), 2)], Q3.scalar(0))
-        assert f.base_point() == BerkPoint(Q3.zero, 0)
+        assert BerkPoint(f.backend.zero, f.base_radius_exp) == BerkPoint(Q3.zero, 0)
 
     def test_cubic_gauss(self):
-        assert cubic_sym().base_point() == BerkPoint(Q5.zero, 0)
+        f = cubic_sym()
+        assert BerkPoint(f.backend.zero, f.base_radius_exp) == BerkPoint(Q5.zero, 0)
 
 
 class TestImagePoint:
     def test_base_point_image(self):
         f = quad_third()
-        img, deg = f.image_point(f.base_point())
+        img, deg = f.image_point(BerkPoint(f.backend.zero, f.base_radius_exp))
         assert img == BerkPoint(Q3.scalar(F(-1, 3)), Val(-1))
         assert img == BerkPoint(Q3.scalar(0), Val(-1))
         assert deg == 2
@@ -150,56 +162,76 @@ class TestLocalDegreeRH:
                 assert deg_taylor == f.local_degree_rh(x)
 
 
+# the marks +-1 of z^3 - 3z + b over PAdic(3) join in a disk of local degree 3
+WILD_CUBIC_MARKS = [(Q3.scalar(1), 2), (Q3.scalar(-1), 2)]
+WILD_CUBIC_WITNESS = BerkPoint(Q3.scalar(1), 0)
+
+
 class TestTameness:
+    """A polynomial is built only when it is tame; a wild one raises NotTame
+    with a witness disk, from each entry point."""
+
     def test_quadratic_over_3(self):
-        rep = quad_third().tameness_check()
-        assert rep.tame
-        assert rep.degrees == frozenset({2})
+        assert quad_third().degree == 2
 
     def test_square_over_2_is_wild(self):
-        f = MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(0))
-        rep = f.tameness_check()
-        assert not rep.tame
-        assert rep.witness == BerkPoint.classical(Q2.scalar(0))
-        with pytest.raises(NotTame):
-            f.local_degree_rh(BerkPoint(Q2.zero, 0))
+        with pytest.raises(NotTame, match="local degree 2 divisible") as err:
+            MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(0))
+        assert err.value.witness == BerkPoint.classical(Q2.scalar(0))
 
     def test_cubic_over_3_is_wild(self):
         # the pair cluster realizes degree 3 at the join
-        f = MarkedPolynomial.from_critical_data(
-            [(Q3.scalar(1), 2), (Q3.scalar(-1), 2)], Q3.scalar(0)
-        )
-        rep = f.tameness_check()
-        assert not rep.tame
-        assert rep.witness_degree == 3
+        with pytest.raises(NotTame, match="local degree 3 divisible") as err:
+            MarkedPolynomial.from_critical_data(WILD_CUBIC_MARKS, Q3.scalar(0))
+        assert err.value.witness == WILD_CUBIC_WITNESS
 
     def test_series_always_tame(self):
         qt = SeriesT(precision=10)
         f = MarkedPolynomial.from_critical_data(
             [(qt.scalar(1), 2), (qt.scalar(-1), 2)], qt.scalar(0)
         )
-        assert f.tameness_check().tame
+        assert f.degree == 3
+
+    def test_wild_coefficients(self):
+        coeffs = [Q3.scalar(c) for c in (5, -3, 0, 1)]  # z^3 - 3z + 5
+        with pytest.raises(NotTame, match="local degree 3 divisible") as err:
+            MarkedPolynomial.from_coefficients(coeffs, WILD_CUBIC_MARKS)
+        assert err.value.witness == WILD_CUBIC_WITNESS
+
+    def test_wild_document(self):
+        doc = {"backend": {"kind": "padic", "p": 3},
+               "marks": [{"c": "1", "mult": 2}, {"c": "-1", "mult": 2}], "b": "0"}
+        with pytest.raises(NotTame, match="local degree 3 divisible") as err:
+            polynomial_from_json(doc)
+        assert err.value.witness == WILD_CUBIC_WITNESS
+
+    def test_malformed_and_wild_is_invalid(self):
+        # marks 0 and 1 join in a disk of degree 3 over PAdic(3), but they
+        # do not center the antiderivative: the malformed input is named
+        with pytest.raises(InvalidMarks):
+            MarkedPolynomial.from_critical_data(
+                [(Q3.scalar(0), 2), (Q3.scalar(1), 2)], Q3.scalar(0)
+            )
 
 
 def _tameness_by_clusters(marks, p):
-    """The enumeration tameness_check once made: every valuation-prefix
-    cluster about each mark, repeats skipped, in order of first occurrence."""
+    """Tameness by enumeration: every valuation-prefix cluster about each
+    mark, repeats skipped, in order of first occurrence."""
     clusters = []
     for i, mi in enumerate(marks):
         joins = [((m.point - mi.point).valuation(), j) for j, m in enumerate(marks) if j != i]
         clusters.append((frozenset({i}), i, INF))
         for q in sorted({v for v, _ in joins}, reverse=True):
             clusters.append((frozenset({i} | {j for v, j in joins if v >= q}), i, q))
-    degrees, witness, witness_degree, seen = set(), None, None, set()
+    witness, witness_degree, seen = None, None, set()
     for members, i, q in clusters:
         if members in seen:
             continue
         seen.add(members)
         deg = 1 + sum(marks[j].multiplicity - 1 for j in members)
-        degrees.add(deg)
         if deg % p == 0 and witness is None:
             witness, witness_degree = BerkPoint(marks[i].point, q), deg
-    return witness is None, witness, witness_degree, frozenset(degrees)
+    return witness is None, witness, witness_degree
 
 
 @st.composite
@@ -218,10 +250,15 @@ def mark_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(mark_sets())
 def test_tameness_matches_the_cluster_enumeration(marks):
-    f = MarkedPolynomial.from_critical_data(marks, marks[0][0].backend.zero)
-    rep = f.tameness_check()
-    assert (rep.tame, rep.witness, rep.witness_degree, rep.degrees) == \
-        _tameness_by_clusters(f.marks, f.backend.p)
+    backend = marks[0][0].backend
+    tame, witness, witness_degree = _tameness_by_clusters(
+        [CriticalMark(c, d) for c, d in marks], backend.p)
+    if tame:
+        MarkedPolynomial.from_critical_data(marks, backend.zero)
+        return
+    with pytest.raises(NotTame, match=f"local degree {witness_degree} divisible") as err:
+        MarkedPolynomial.from_critical_data(marks, backend.zero)
+    assert err.value.witness == witness
 
 
 class TestSegmentDynamics:
@@ -369,7 +406,10 @@ def polynomial_and_point(draw):
     backend = PAdic(p)
     c = draw(shared_rationals(p).filter(bool))
     marks = [(backend.scalar(m), k) for m, k in draw(st.sampled_from(SHAPES))(c)]
-    f = MarkedPolynomial.from_critical_data(marks, backend.scalar(draw(shared_rationals(p))))
+    try:
+        f = MarkedPolynomial.from_critical_data(marks, backend.scalar(draw(shared_rationals(p))))
+    except NotTame:  # wild marks; test_tameness_matches_the_cluster_enumeration covers them
+        assume(False)
     return f, backend.scalar(draw(shared_rationals(p)))
 
 
