@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
-from tamedyn.core import CoreTree, CoreVertex, build_core
+from tamedyn.core import CoreTree, CoreVertex, build_core, check_rho
 from tamedyn.errors import NotComparable, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import Val
@@ -89,8 +89,10 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
     Precondition: rho is None or positive, and the coordinates are
     rho-close (both checked first); raises NotComparable otherwise,
     WellDefinednessFailure when label coincidences fail to transfer at
-    this closeness.
+    this closeness.  A rho that is not None, an int or a Fraction raises
+    TypeError, as in `build_core`, before any orbit work.
     """
+    check_rho(rho)
     if rho is not None and rho <= 0:
         raise NotComparable("rho must be positive")
     bound = rho_closeness(f, g, precision=PRECISION)

@@ -23,6 +23,12 @@ exactly when they share a witness, so a finished tree looks a vertex up
 by its radius exponent and any one of its labels.  The image of each
 vertex is recorded by the closure's forward step.
 
+Over PAdic the table and the ray maps are integer kernels: the table reads
+each pool value's numerator and denominator once and runs no gcd
+(``_valuation_table``), and each ray map comes from integer Taylor data
+(``MarkedPolynomial.segment_dynamics``), so an exponent stays an int until
+a ray map divides by a slope that does not divide it, or rho is added.
+
 Each vertex's parent is its closest strict ancestor, the upper end of
 its edge, found with ``compare`` over the larger disks (the benchmark's
 traced run counts those calls; reading the table instead waits for its
@@ -42,7 +48,7 @@ from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn import escape
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import Scalar, Val
+from tamedyn.valued_field import PAdic, Scalar, Val, int_valuation
 
 DEFAULT_DEPTH = 3
 
@@ -139,9 +145,44 @@ def _axis_only_tree(f, rho, depth, warnings) -> CoreTree:
                     tuple(warnings), {})
 
 
+def _valuation_table(pool: list[Scalar], backend) -> list[list]:
+    """table[x][y] = v(pool[x] - pool[y]) for distinct values, math.inf on
+    the diagonal.  Over PAdic in integers: with x = n_x/D_x, the entry is
+    min(v(x), v(y)) where the two differ (the ultrametric inequality), and
+    v_p(n_x D_y - n_y D_x) - v_p(D_x) - v_p(D_y) where they are equal."""
+    table = [[math.inf] * len(pool) for _ in pool]
+    if not isinstance(backend, PAdic):
+        for x in range(len(pool)):
+            for y in range(x):
+                table[x][y] = table[y][x] = (pool[x] - pool[y]).valuation().finite
+        return table
+    p = backend.p
+    nums = [w.rational.numerator for w in pool]
+    dens = [w.rational.denominator for w in pool]
+    den_vals = [int_valuation(D, p) for D in dens]
+    vals = [math.inf if n == 0 else int_valuation(n, p) - v_D for n, v_D in zip(nums, den_vals)]
+    for x in range(len(pool)):
+        for y in range(x):
+            if vals[x] != vals[y]:
+                e = min(vals[x], vals[y])
+            else:
+                e = (int_valuation(nums[x] * dens[y] - nums[y] * dens[x], p)
+                     - den_vals[x] - den_vals[y])
+            table[x][y] = table[y][x] = e
+    return table
+
+
+def check_rho(rho) -> None:
+    """Raise TypeError unless rho is None, an int (not a bool) or a Fraction."""
+    if rho is not None and (isinstance(rho, bool) or not isinstance(rho, (int, Fraction))):
+        raise TypeError(f"rho must be None, an int or a Fraction, not {rho!r}")
+
+
 def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                depth: int = DEFAULT_DEPTH) -> CoreTree:
-    """Construct the truncated tree; rho = None means untrimmed."""
+    """Construct the truncated tree; rho = None means untrimmed.  A rho that
+    is not None, an int or a Fraction raises TypeError before any orbit work."""
+    check_rho(rho)
     base = f.base_radius_exp
     zero = f.backend.zero
     warnings: list[str] = []
@@ -180,10 +221,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     keys_at: list[list[tuple[int, int]]] = [[] for _ in pool]
     for key, s in slots.items():
         keys_at[s].append(key)
-    table = [[math.inf] * len(pool) for _ in pool]
-    for x in range(len(pool)):
-        for y in range(x):
-            table[x][y] = table[y][x] = (pool[x] - pool[y]).valuation().finite
+    table = _valuation_table(pool, f.backend)
 
     cuts: dict[tuple[int, int], Fraction] = {}
     if rho is not None:
@@ -294,7 +332,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             continue
         v, u = vertices[vi], vertices[pi]
         length = v.point.radius_exp.finite - u.point.radius_exp.finite
-        mid = (v.point.radius_exp.finite + u.point.radius_exp.finite) / 2
+        mid = Fraction(v.point.radius_exp.finite + u.point.radius_exp.finite, 2)
         degree = f.local_degree_rh(BerkPoint(v.point.center, Val(mid)))
         edges.append(CoreEdge(vi, pi, degree, length))
 

@@ -87,7 +87,7 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
         raise HypothesisViolated("reductions of f and g differ", clause=2)
     if x.valuation() < Val(0):
         raise HypothesisViolated("x lies outside the unit region", clause="region")
-    mu = None if s.is_infinite else s.finite / 2
+    mu = None if s.is_infinite else Fraction(s.finite, 2)
     fprime = poly_derivative(fc)
 
     reduce_exp = None

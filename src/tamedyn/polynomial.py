@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import INF, PAdic, Scalar, Val, coprime_fraction
+from tamedyn.valued_field import INF, PAdic, Scalar, Val, coprime_fraction, int_valuation
 
 
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
@@ -53,8 +53,9 @@ def poly_derivative(cs: list[Scalar]) -> list[Scalar]:
     return [cs[k].scale(k) for k in range(1, len(cs))]
 
 
-def taylor_coefficients(cs: list[Scalar], a: Scalar, zero: Scalar) -> list[Scalar]:
-    """Coefficients of f(z + a) by repeated synthetic division by (z - a)."""
+def taylor_coefficients(cs: list[Scalar], a: Scalar) -> list[Scalar]:
+    """Coefficients of f(z + a) by repeated synthetic division by (z - a),
+    over Scalars or over ints."""
     work = list(cs)
     out = []
     while work:
@@ -118,13 +119,21 @@ class PiecewiseMonomial:
         return min(k * q + v for k, v in self.lines)
 
     def invert(self, target: Fraction) -> Fraction:
-        """The unique q with image_exp(q) = target."""
-        return max((target - v) / k for k, v in self.lines)
+        """The unique q with image_exp(q) = target, divided exactly: an int
+        when the slope divides an int, a Fraction otherwise."""
+        return max(_exact_quotient(target - v, k) for k, v in self.lines)
 
     def compose(self, inner: "PiecewiseMonomial") -> "PiecewiseMonomial":
         """q -> self(inner(q)); a min of lines since every slope is positive."""
         return PiecewiseMonomial([(k1 * k2, k1 * v2 + v1)
                                   for k1, v1 in self.lines for k2, v2 in inner.lines])
+
+
+def _exact_quotient(a: Fraction, k: int) -> Fraction:
+    """a / k for an int or Fraction a and an int k > 0, never a float."""
+    if isinstance(a, int) and a % k == 0:
+        return a // k
+    return Fraction(a, k)
 
 
 def _corner(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> Fraction:
@@ -219,14 +228,16 @@ class MarkedPolynomial:
         for i in range(self.degree - 1):
             v = self.coeffs[i].valuation()
             if not v.is_infinite:
-                self.base_radius_exp = min(self.base_radius_exp, v.finite / (self.degree - i))
+                self.base_radius_exp = min(self.base_radius_exp,
+                                           Fraction(v.finite, self.degree - i))
         # over PAdic: the coefficients times L, the lcm of their denominators,
-        # and L*R for R = 1 + sum_{i<d} |a_i|: an orbit value beyond R
-        # escapes at the real place (see escape._wanders)
+        # v_p(L), and L*R for R = 1 + sum_{i<d} |a_i|: an orbit value beyond
+        # R escapes at the real place (see escape._wanders)
         self._int_coeffs: tuple[int, ...] | None = None
         if isinstance(self.backend, PAdic):
             rats = [c.rational for c in self.coeffs]
             self._den = math.lcm(*(a.denominator for a in rats))
+            self._den_val = int_valuation(self._den, self.backend.p)
             self._int_coeffs = tuple(a.numerator * (self._den // a.denominator) for a in rats)
             self._real_bound = self._den + sum(abs(c) for c in self._int_coeffs[:-1])
 
@@ -311,7 +322,7 @@ class MarkedPolynomial:
         return values
 
     def taylor_at(self, a: Scalar) -> tuple[Scalar, ...]:
-        return tuple(taylor_coefficients(self.coeffs, a, self.backend.zero))
+        return tuple(taylor_coefficients(self.coeffs, a))
 
     def __repr__(self):
         return f"MarkedPolynomial(degree={self.degree}, marks={len(self.marks)})"
@@ -346,11 +357,27 @@ class MarkedPolynomial:
     # -- ray dynamics -----------------------------------------------------------
 
     def segment_dynamics(self, c: Scalar) -> PiecewiseMonomial:
-        """The exact piecewise map q -> image exponent on the ray at c."""
-        taylor = self.taylor_at(c)
-        lines = []
-        for k in range(1, len(taylor)):
-            v = taylor[k].valuation()
-            if not v.is_infinite:
-                lines.append((k, v.finite))
-        return PiecewiseMonomial(lines)
+        """The exact piecewise map q -> image exponent on the ray at c: the
+        lines (k, v(f_k)) over the nonvanishing Taylor coefficients f_k at c.
+
+        Over PAdic these valuations are read in integers.  At c = n/D, with
+        e_i = c_i D^(d-i) for the integer coefficients c_i = L a_i, the
+        Taylor shift of sum e_i w^i by n has coefficients N_k = L D^(d-k) f_k,
+        so v(f_k) = v_p(N_k) - v_p(L) - (d-k) v_p(D): no Fraction and no gcd.
+        Over SeriesT they come from `taylor_at`.
+        """
+        if self._int_coeffs is None:
+            taylor = self.taylor_at(c)
+            return PiecewiseMonomial([(k, taylor[k].valuation().finite)
+                                      for k in range(1, len(taylor)) if not taylor[k].is_zero])
+        n, D = c.rational.numerator, c.rational.denominator
+        d, p = self.degree, self.backend.p
+        # e_0 is left unscaled: it moves only N_0, which is never read
+        e, D_power = list(self._int_coeffs), 1
+        for i in range(d - 1, 0, -1):
+            D_power *= D
+            e[i] *= D_power
+        N = taylor_coefficients(e, n)
+        v_D = int_valuation(D, p)
+        return PiecewiseMonomial([(k, int_valuation(N[k], p) - self._den_val - (d - k) * v_D)
+                                  for k in range(1, d + 1) if N[k]])

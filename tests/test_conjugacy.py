@@ -80,6 +80,14 @@ def test_non_positive_rho_is_refused_before_any_orbit_work(rho):
         build_conjugacy(f, f, rho)
 
 
+@pytest.mark.parametrize("rho", [0.5, True])
+def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
+    f = cubic5(*BASELINE)
+    with pytest.raises(TypeError, match="rho must be None, an int or a Fraction"):
+        build_conjugacy(f, f, rho)
+    assert not f._records and not f._orbits
+
+
 # -- the key map against label-by-label transport --------------------------------
 
 def _label_transport(f, g, rho, depth):

@@ -7,6 +7,7 @@ the paper's invariants (Riemann-Hurwitz degree = Taylor degree, edge images
 of length degree x length, dynamics maps ancestors to ancestors).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from tamedyn import escape
 from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
-from tamedyn.core import build_core
+from tamedyn.core import _valuation_table, build_core
 from tamedyn.escape import Escaping, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
@@ -164,14 +165,48 @@ def test_no_taylor_data_at_the_last_orbit_value(monkeypatch):
         [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
         backend.scalar(Fraction(1, 25)))
     expanded = []
-    original = MarkedPolynomial.taylor_at
-    monkeypatch.setattr(MarkedPolynomial, "taylor_at",
+    original = MarkedPolynomial.segment_dynamics
+    monkeypatch.setattr(MarkedPolynomial, "segment_dynamics",
                         lambda self, a: expanded.append(a) or original(self, a))
     exits = {i: classify_critical(f, mark).first_exit for i, mark in enumerate(f.marks)}
     for rho in (None, Fraction(2)):
         tree = build_core(f, rho=rho, depth=3)
         last = {tree.orbit_value(i, m + tree.fwd_depth) for i, m in exits.items()}
         assert expanded and last.isdisjoint(expanded)
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.0, True, False])
+def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
+    backend = PAdic(5)
+    f = MarkedPolynomial.from_critical_data(
+        [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
+        backend.scalar(Fraction(1, 25)))
+    with pytest.raises(TypeError, match="rho must be None, an int or a Fraction"):
+        build_core(f, rho=rho)
+    assert not f._records and not f._orbits
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_valuation_table_matches_scalar_subtraction(p, data):
+    """The integer table against v(x - y) by Scalar subtraction, on pools of 0
+    and values of exponents -3..3 (many of one valuation), plus values
+    x + u p^j, which cancel with x to a higher valuation when j > v(x)."""
+    prime_to_p = st.integers(min_value=-20, max_value=20).filter(lambda n: n % p)
+    xs = data.draw(st.lists(st.builds(lambda u, w, e: Fraction(u, abs(w)) * Fraction(p) ** e,
+                                      prime_to_p, prime_to_p, st.integers(-3, 3)),
+                            min_size=1, max_size=6))
+    shifts = data.draw(st.lists(st.tuples(st.integers(0, len(xs) - 1), st.integers(-3, 6),
+                                          prime_to_p), max_size=4))
+    values = [Fraction(0), *xs, *(xs[i] + u * Fraction(p) ** j for i, j, u in shifts)]
+    backend = PAdic(p)
+    pool = [backend.scalar(a) for a in dict.fromkeys(values)]
+    table = _valuation_table(pool, backend)
+    for x, a in enumerate(pool):
+        assert table[x][x] == math.inf
+        for y, b in enumerate(pool[:x]):
+            assert table[x][y] == table[y][x] == (a - b).valuation().finite
+            assert type(table[x][y]) is int
 
 
 def _series_cubic(precision, ram_den, lead, b_exp):

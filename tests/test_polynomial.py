@@ -346,6 +346,16 @@ class TestRayMapAgainstAllLines:
         assert _brute_min(lines, q) == t
 
     @settings(max_examples=50)
+    @given(lines=st.lists(st.tuples(st.integers(min_value=1, max_value=6),
+                                    st.integers(min_value=-20, max_value=20)),
+                          min_size=1, max_size=6),
+           t=st.integers(min_value=-40, max_value=40))
+    def test_invert_of_int_lines_is_exact(self, lines, t):
+        q = PiecewiseMonomial(lines).invert(t)
+        assert type(q) in (int, Fraction)
+        assert _brute_min(lines, q) == t
+
+    @settings(max_examples=50)
     @given(outer=LINES, inner=LINES, q=EXPONENTS)
     def test_compose(self, outer, inner, q):
         f, g = PiecewiseMonomial(outer), PiecewiseMonomial(inner)
@@ -353,6 +363,40 @@ class TestRayMapAgainstAllLines:
         assert h.image_exp(q) == f.image_exp(g.image_exp(q))
         assert _degree(h, q) == _degree(f, g.image_exp(q)) * _degree(g, q)
         assert h.invert(q) == g.invert(f.invert(q))
+
+
+def _p_adic_rationals(p, min_exp):
+    """0, or u/w * p^e with u, w prime to p and min_exp <= e <= 6."""
+    prime_to_p = st.integers(min_value=-30, max_value=30).filter(lambda n: n % p)
+    return st.one_of(st.just(Fraction(0)), st.builds(
+        lambda u, w, e: Fraction(u, abs(w)) * Fraction(p) ** e,
+        prime_to_p, prime_to_p, st.integers(min_value=min_exp, max_value=6)))
+
+
+@st.composite
+def ray_cases(draw):
+    """A monic centered polynomial over PAdic(2|3|5|7) of degree 2-5 and a
+    point z, with p in its denominator or not.  Zero coefficients, z = 0 and
+    an a_1 drawn to make f'(z) = 0 give vanishing Taylor coefficients.  The
+    Taylor identity holds for every monic polynomial, so no marks are given."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(min_value=2, max_value=5))
+    coeffs = [draw(_p_adic_rationals(p, -4)) for _ in range(d - 1)] + [Fraction(0), Fraction(1)]
+    z = draw(_p_adic_rationals(p, -6))
+    if d >= 3 and draw(st.booleans()):
+        coeffs[1] = -sum(i * coeffs[i] * z ** (i - 1) for i in range(2, d + 1))
+    backend = PAdic(p)
+    return MarkedPolynomial([backend.scalar(a) for a in coeffs], ()), backend.scalar(z)
+
+
+@settings(max_examples=300)
+@given(case=ray_cases())
+def test_integer_ray_map_matches_taylor_valuations(case):
+    f, z = case
+    taylor = f.taylor_at(z)
+    oracle = PiecewiseMonomial([(k, taylor[k].valuation().finite)
+                                for k in range(1, f.degree + 1) if not taylor[k].is_zero])
+    assert f.segment_dynamics(z).lines == oracle.lines
 
 
 class TestExpansionLaw:

@@ -45,6 +45,10 @@ class TestVal:
         with pytest.raises(ValueError):
             INF - INF
 
+    def test_refuses_a_float(self):
+        with pytest.raises(TypeError):
+            Val(0.5)
+
 
 class TestValuation:
     def test_padic_examples(self):
