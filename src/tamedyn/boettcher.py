@@ -13,6 +13,9 @@ requested precision; the count is chosen from that exact tail bound.
 The closeness comparator evaluates both coordinates at each critical
 point's first-exit orbit value and reports the minimal valuation gap,
 relative to the value's own modulus.
+
+Each value is kept on the polynomial (``MarkedPolynomial._phi``), so the
+conjugacy check's coordinate clause reads the comparator's values.
 """
 
 from __future__ import annotations
@@ -34,12 +37,22 @@ DEFAULT_PRECISION = Fraction(40)
 ROOT_MARGIN = 4
 
 
+def _check_precision(precision) -> Fraction:
+    """The precision as a Fraction; TypeError unless an int (not a bool) or a Fraction."""
+    if isinstance(precision, bool) or not isinstance(precision, (int, Fraction)):
+        raise TypeError(f"precision must be an int or a Fraction, not {precision!r}")
+    return Fraction(precision)
+
+
 def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Scalar:
-    """phi(z) to the given absolute valuation precision.
+    """phi(z) to the given absolute valuation precision, an int or a Fraction,
+    computed once per polynomial, point and precision.
 
     Requires |z| strictly outside the closed base disk.
     """
-    precision = Fraction(precision)
+    precision = _check_precision(precision)
+    if (z, precision) in f._phi:
+        return f._phi[z, precision]
     backend = f.backend
     d = f.degree
     base = f.base_radius_exp
@@ -62,6 +75,7 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Sca
         phi = phi * root
         w = fw
         n += 1
+    f._phi[z, precision] = phi
     return phi
 
 
@@ -100,9 +114,10 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
     multiplicities, and matching escape patterns (same escaping indices
     with the same first-exit times); otherwise NotComparable.  Only the
     first-exit iterates are evaluated; beyond them the comparison is
-    propagated by the degree-d isometry off the axis.
+    propagated by the degree-d isometry off the axis.  A precision that
+    is not an int or a Fraction raises TypeError before any orbit work.
     """
-    precision = Fraction(precision)
+    precision = _check_precision(precision)
     if f.backend != g.backend:
         raise NotComparable("different backends")
     if f.degree != g.degree:

@@ -17,9 +17,12 @@ source vertex strictly between the originals).  Every source edge is thus
 a target edge of the same length, and only local degrees are compared.
 (ii) Equivariance of the recorded dynamics.  (iii) Locally a translation:
 every witness of a vertex (its children's are among them) is moved into
-the correct direction by the single translation z + b_x, an exact
-strict-valuation check.  (iv) Agreement with the coordinate change at
-infinity on the outermost axis vertices, at the working precision.
+the correct direction by the single translation z + b_x, b_x the move
+g^n(c) - f^n(c) of its first witness: v(move(label) - move(first)) > q,
+exact over PAdic and over SeriesT (truncation at the cutoff is linear).
+Each pair's gap is computed once, for every vertex it meets.  (iv)
+Agreement with the coordinate change at infinity on the outermost axis
+vertices, at the working precision (values the closeness check kept).
 """
 
 from __future__ import annotations
@@ -177,14 +180,18 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
             break
 
     # (iii) locally a translation: every witness of the vertex is moved
-    # strictly inside its direction by the vertex's own shift
+    # strictly inside its direction by the vertex's own shift, the move of
+    # its first witness; each move and each (first, label) gap is computed once
+    moved = {label: tgt.orbit_value(*label) - src.orbit_value(*label)
+             for label in {w for sv in src.vertices for w in sv.witnesses}}
+    gaps: dict = {}  # (first, label) -> v(moved[label] - moved[first])
     local = ClauseResult("pass")
     for si, sv in enumerate(src.vertices):
         q, first = sv.point.radius_exp, sv.witnesses[0]
-        shift = tgt.orbit_value(*first) - src.orbit_value(*first)
-        label = next((label for label in sv.witnesses
-                      if not (tgt.orbit_value(*label) - (src.orbit_value(*label) + shift))
-                      .valuation() > q), None)
+        for label in sv.witnesses[1:]:
+            if (first, label) not in gaps:
+                gaps[first, label] = (moved[label] - moved[first]).valuation()
+        label = next((label for label in sv.witnesses[1:] if not gaps[first, label] > q), None)
         if label is not None:
             local = ClauseResult(
                 "fail",

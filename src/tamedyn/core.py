@@ -21,7 +21,10 @@ and keeps its first center and its orbit witnesses (mark index,
 iterate), the orbit values inside.  Two disks of one radius are equal
 exactly when they share a witness, so a finished tree looks a vertex up
 by its radius exponent and any one of its labels.  The image of each
-vertex is recorded by the closure's forward step.
+vertex is recorded by the closure's forward step.  An edge's degree, the
+Riemann-Hurwitz count at its midpoint, is read off its lower vertex's row
+(the marks are in the pool); ``MarkedPolynomial.local_degree_rh`` is the
+tests' oracle for it.
 
 Over PAdic the table and the ray maps are integer kernels: the table reads
 each pool value's numerator and denominator once and runs no gcd
@@ -325,7 +328,9 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             raise AssertionError("image of a vertex is missing from the tree")
         dynamics.append(None if images[key] is None else vertex_of[images[key]])
 
-    # edges: each vertex to its parent
+    # edges: each vertex to its parent, of degree 1 + sum (d_i - 1) over the
+    # marks in the disk around its center at the midpoint's exponent
+    mark_slots = [(slot_of[m.point], m.multiplicity - 1) for m in f.marks]
     edges = []
     for vi, pi in enumerate(parents):
         if pi is None:
@@ -333,7 +338,8 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         v, u = vertices[vi], vertices[pi]
         length = v.point.radius_exp.finite - u.point.radius_exp.finite
         mid = Fraction(v.point.radius_exp.finite + u.point.radius_exp.finite, 2)
-        degree = f.local_degree_rh(BerkPoint(v.point.center, Val(mid)))
+        row = table[disks[order[vi]][0]]
+        degree = 1 + sum(k for s, k in mark_slots if row[s] >= mid)
         edges.append(CoreEdge(vi, pi, degree, length))
 
     # boundary markers

@@ -73,6 +73,14 @@ class TestPhiEval:
         with pytest.raises(NotTame):
             MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(F(1, 2)))
 
+    @pytest.mark.parametrize("precision", [0.1, 10.0, True, False])
+    def test_float_or_bool_precision_is_refused(self, precision):
+        # True ran at precision 1 and 0.1 at the binary fraction Fraction(0.1)
+        f = quad(F(-1, 3))
+        with pytest.raises(TypeError, match="precision must be an int or a Fraction"):
+            phi_eval(f, Q3.scalar(F(1, 3)), precision)
+        assert not f._phi
+
     def test_series_backend(self):
         qt = SeriesT(precision=14)
         f = MarkedPolynomial.from_critical_data(
@@ -134,3 +142,10 @@ class TestRhoCloseness:
         assert rho_closeness(f, quad(0), precision=10).is_infinite
         rb = rho_closeness(f, g, precision=10)
         assert rb.is_infinite
+
+    @pytest.mark.parametrize("precision", [0.5, 20.0, True])
+    def test_float_or_bool_precision_is_refused_before_any_orbit_work(self, precision):
+        f, g = quad(F(-1, 3)), quad(F(-1, 3) + 3 ** 5)
+        with pytest.raises(TypeError, match="precision must be an int or a Fraction"):
+            rho_closeness(f, g, precision=precision)
+        assert not f._records and not f._orbits and not g._records and not g._orbits

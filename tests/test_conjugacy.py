@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tamedyn import valued_field
 from tamedyn.berkovich import BerkPoint
-from tamedyn.boettcher import rho_closeness
+from tamedyn.boettcher import phi_eval, rho_closeness
 from tamedyn.conjugacy import (
     PRECISION,
     ClauseResult,
@@ -86,6 +87,44 @@ def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
     with pytest.raises(TypeError, match="rho must be None, an int or a Fraction"):
         build_conjugacy(f, f, rho)
     assert not f._records and not f._orbits
+
+
+def series_cubic(precision, b_exp):
+    """Cubic over SeriesT(precision) with marks +-1/t and constant term t^b_exp."""
+    return polynomial_from_json({
+        "backend": {"kind": "series", "precision": precision, "ram_den": 1},
+        "marks": [{"c": [["-1", c]], "mult": 2} for c in ("1", "-1")],
+        "b": [[str(b_exp), "1"]],
+    })
+
+
+PASS_PAIRS = {
+    "padic": (lambda: cubic5(BASELINE[0], BASELINE[1]),
+              lambda: cubic5(BASELINE[0], BASELINE[1] + 5 ** 4), "_padic_nth_root_unit"),
+    "series": (lambda: series_cubic("40", -4), lambda: series_cubic("40", -4),
+               "_series_nth_root_unit"),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(PASS_PAIRS))
+def test_one_coordinate_per_point(backend, monkeypatch):
+    """Clause (iv) reads the coordinates rho_closeness computed, so the whole
+    check takes as many roots as rho_closeness alone, and every kept value
+    equals the one computed on a freshly built copy of the polynomial."""
+    make_f, make_g, root = PASS_PAIRS[backend]
+    roots = []
+    original = getattr(valued_field, root)
+    monkeypatch.setattr(valued_field, root, lambda *args: roots.append(args) or original(*args))
+    rho_closeness(make_f(), make_g(), precision=PRECISION)
+    alone, roots[:] = len(roots), []
+    f, g = make_f(), make_g()
+    report = verify_extendable(build_conjugacy(f, g, None))
+    assert report.overall and report.boettcher_at_infinity.status == "pass"
+    assert len(roots) == alone > 0
+    for poly, make in ((f, make_f), (g, make_g)):
+        assert poly._phi
+        for (z, precision), value in poly._phi.items():
+            assert phi_eval(make(), z, precision) == value
 
 
 # -- the key map against label-by-label transport --------------------------------
@@ -218,6 +257,12 @@ def _outcome(run):
                       getattr(e, "witness_b", None), getattr(e, "level", None))
 
 
+# clause (iii) fails at vertex 1 (exponent -162) on the gap -162 of labels
+# (0, 0) and (1, 5), which vertex 0 (exponent -243) computed and passed
+GAP_SEEN_BEFORE = _padic_pair(5, ["-11/5", "11/5"], "-8/125", ["-31/5", "31/5"], "-8/125",
+                              depth=4)
+
+
 @settings(max_examples=150)
 @given(pair=conjugacy_pairs())
 # one pair for each way the transport fails, and one for clause (iii)
@@ -227,6 +272,7 @@ def _outcome(run):
 @example(pair=_padic_pair(7, ["8", "5/7", "-61/7"], "6/49", ["78", "5/7", "-551/7"], "6/49"))
 @example(pair=_padic_pair(5, ["-6", "6", "0"], "7/125", ["39", "6", "-45"], "-43/125", depth=4))
 @example(pair=_padic_pair(7, ["4/7", "-4/7"], "1/2401", ["-8/7", "8/7"], "1/2401"))
+@example(pair=GAP_SEEN_BEFORE)
 def test_key_map_matches_label_transport(pair):
     f, g, rho, depth = pair
     h, err = _outcome(lambda: build_conjugacy(f, g, rho, depth=depth))

@@ -1,4 +1,5 @@
-"""Properties of the core tree on small escaping p-adic polynomials of degree 2-4.
+"""Properties of the core tree on small escaping p-adic polynomials of degree 2-4,
+and of its edge degrees on SeriesT cubics too.
 
 Each tree is checked against brute-force searches over its own vertices
 with ``compare`` and ``BerkPoint ==``: levels, parents, vertex lookup,
@@ -59,6 +60,30 @@ TREES = st.builds(
     st.sampled_from([None, Fraction(1), Fraction(2), Fraction(7, 2)]),
     st.integers(min_value=1, max_value=4),
 )
+
+
+def _series_cubic(precision, ram_den, lead, b_exp):
+    """Cubic over SeriesT(precision, ram_den): marks +-t^lead, b = t^b_exp."""
+    return polynomial_from_json({
+        "backend": {"kind": "series", "precision": precision, "ram_den": ram_den},
+        "marks": [{"c": [[lead, c]], "mult": 2} for c in ("1", "-1")],
+        "b": [[b_exp, "1"]],
+    })
+
+
+@st.composite
+def series_trees(draw):
+    """Trees of the cubics above over SeriesT(20|30, ram_den 1-3), with the
+    mark exponent in -1..1 and b's in -5..0, both on the 1/ram_den grid."""
+    ram_den = draw(st.integers(min_value=1, max_value=3))
+    lead = Fraction(draw(st.integers(-ram_den, ram_den)), ram_den)
+    b_exp = Fraction(draw(st.integers(-5 * ram_den, 0)), ram_den)
+    f = _series_cubic(draw(st.sampled_from(["20", "30"])), ram_den, str(lead), str(b_exp))
+    return _tree(f, draw(st.sampled_from([None, Fraction(1), Fraction(2), Fraction(7, 2)])),
+                 draw(st.integers(min_value=1, max_value=4)))
+
+
+SERIES_TREES = series_trees()
 
 
 def _linear_index(tree, point):
@@ -126,14 +151,26 @@ def test_no_two_vertices_are_equal(tree):
     assert not any(points[i] == points[j] for i in range(len(points)) for j in range(i))
 
 
-@settings(max_examples=40)
-@given(tree=TREES)
-def test_riemann_hurwitz_degree_equals_taylor_degree(tree):
+def _assert_edge_degrees(tree):
+    # build_core reads each degree off its valuation table; local_degree_rh
+    # and image_point compute it again from the marks and from Taylor data
     f = tree.f
     for e in tree.edges:
         lo, up = tree.vertices[e.lower].point, tree.vertices[e.upper].point
-        mid = BerkPoint(lo.center, Val((lo.radius_exp.finite + up.radius_exp.finite) / 2))
+        mid = BerkPoint(lo.center, Val(Fraction(lo.radius_exp.finite + up.radius_exp.finite, 2)))
         assert e.degree == f.local_degree_rh(mid) == f.image_point(mid)[1]
+
+
+@settings(max_examples=40)
+@given(tree=TREES)
+def test_riemann_hurwitz_degree_equals_taylor_degree(tree):
+    _assert_edge_degrees(tree)
+
+
+@settings(max_examples=40)
+@given(tree=SERIES_TREES)
+def test_riemann_hurwitz_degree_equals_taylor_degree_over_series(tree):
+    _assert_edge_degrees(tree)
 
 
 @settings(max_examples=40)
@@ -207,15 +244,6 @@ def test_valuation_table_matches_scalar_subtraction(p, data):
         for y, b in enumerate(pool[:x]):
             assert table[x][y] == table[y][x] == (a - b).valuation().finite
             assert type(table[x][y]) is int
-
-
-def _series_cubic(precision, ram_den, lead, b_exp):
-    """Cubic over SeriesT(precision, ram_den): marks +-t^lead, b = t^b_exp."""
-    return polynomial_from_json({
-        "backend": {"kind": "series", "precision": precision, "ram_den": ram_den},
-        "marks": [{"c": [[lead, c]], "mult": 2} for c in ("1", "-1")],
-        "b": [[b_exp, "1"]],
-    })
 
 
 @settings(max_examples=60)
