@@ -31,7 +31,7 @@ from tamedyn.errors import (
 )
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import INF, Scalar, SeriesT, Val, nth_root_unit
+from tamedyn.valued_field import INF, Scalar, SeriesT, Val, _as_fraction, nth_root_unit
 
 DEFAULT_PRECISION = Fraction(40)
 ROOT_MARGIN = 4
@@ -39,9 +39,7 @@ ROOT_MARGIN = 4
 
 def _check_precision(precision) -> Fraction:
     """The precision as a Fraction; TypeError unless an int (not a bool) or a Fraction."""
-    if isinstance(precision, bool) or not isinstance(precision, (int, Fraction)):
-        raise TypeError(f"precision must be an int or a Fraction, not {precision!r}")
-    return Fraction(precision)
+    return _as_fraction(precision, "precision must be an int or a Fraction")
 
 
 def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Scalar:

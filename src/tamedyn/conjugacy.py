@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
-from tamedyn.core import CoreTree, CoreVertex, build_core, check_rho
+from tamedyn.core import CoreTree, CoreVertex, build_core, check_depth, check_rho
 from tamedyn.errors import NotComparable, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import Val
@@ -92,10 +92,12 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
     Precondition: rho is None or positive, and the coordinates are
     rho-close (both checked first); raises NotComparable otherwise,
     WellDefinednessFailure when label coincidences fail to transfer at
-    this closeness.  A rho that is not None, an int or a Fraction raises
-    TypeError, as in `build_core`, before any orbit work.
+    this closeness.  A rho that is not None, an int or a Fraction, or a
+    depth that is not an int >= 0, raises TypeError or ValueError, as in
+    `build_core`, before any orbit work.
     """
     check_rho(rho)
+    check_depth(depth)
     if rho is not None and rho <= 0:
         raise NotComparable("rho must be positive")
     bound = rho_closeness(f, g, precision=PRECISION)

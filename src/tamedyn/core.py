@@ -51,7 +51,7 @@ from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn import escape
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import PAdic, Scalar, Val, int_valuation
+from tamedyn.valued_field import PAdic, Scalar, Val, _as_fraction, int_valuation
 
 DEFAULT_DEPTH = 3
 
@@ -177,15 +177,25 @@ def _valuation_table(pool: list[Scalar], backend) -> list[list]:
 
 def check_rho(rho) -> None:
     """Raise TypeError unless rho is None, an int (not a bool) or a Fraction."""
-    if rho is not None and (isinstance(rho, bool) or not isinstance(rho, (int, Fraction))):
-        raise TypeError(f"rho must be None, an int or a Fraction, not {rho!r}")
+    if rho is not None:
+        _as_fraction(rho, "rho must be None, an int or a Fraction")
+
+
+def check_depth(depth) -> None:
+    """Raise TypeError unless depth is an int (not a bool), ValueError if < 0."""
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise TypeError(f"depth must be an int, not {depth!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, not {depth}")
 
 
 def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                depth: int = DEFAULT_DEPTH) -> CoreTree:
     """Construct the truncated tree; rho = None means untrimmed.  A rho that
-    is not None, an int or a Fraction raises TypeError before any orbit work."""
+    is not None, an int or a Fraction, or a depth that is not an int >= 0,
+    raises TypeError or ValueError before any orbit work."""
     check_rho(rho)
+    check_depth(depth)
     base = f.base_radius_exp
     zero = f.backend.zero
     warnings: list[str] = []

@@ -13,16 +13,20 @@ the one before by more than the contraction gap mu = s/2.  Since f'(z_n)
 is a unit, v(w_n) equals the residual valuation of the same step, so this
 one check also bounds the step sizes.  The returned residual valuation is
 certified by direct evaluation.
+Over PAdic every iterate is p-integral (x and the coefficients are, and
+f'(z_n) is a unit), and each is reduced to its ``valued_field.residue``
+mod p^(ceil(target) + REDUCE_MARGIN).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.errors import ContractionFailed, HypothesisViolated, MaxIterExceeded
 from tamedyn.polynomial import poly_derivative, poly_eval
-from tamedyn.valued_field import INF, PAdic, Scalar, Val
+from tamedyn.valued_field import INF, PAdic, Scalar, Val, _as_fraction, residue
 
 MAX_ITER = 32
 REDUCE_MARGIN = 8
@@ -70,7 +74,7 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
     membership v(x) >= 0.  f, g and x must share one backend (checked
     first, as hypothesis "backend").
     """
-    target = Fraction(target)
+    target = _as_fraction(target, "target must be an int or a Fraction")
     backend = fc[0].backend
     if any(c.backend != backend for c in (*fc, *gc, x)):
         raise HypothesisViolated("f, g and x are not over one backend", clause="backend")
@@ -90,10 +94,7 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
     mu = None if s.is_infinite else Fraction(s.finite, 2)
     fprime = poly_derivative(fc)
 
-    reduce_exp = None
-    if isinstance(backend, PAdic):
-        reduce_exp = int(target.__ceil__()) + REDUCE_MARGIN
-
+    reduce_exp = math.ceil(target) + REDUCE_MARGIN
     gx = poly_eval(gc, x, zero)
     z = x
     steps: list[LiftStep] = []
@@ -117,6 +118,6 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
         w = -residual / deriv
         steps.append(LiftStep(n, w.valuation(), res_v))
         z = z + w
-        if reduce_exp is not None:
-            z = z.mod_reduce(reduce_exp)
+        if isinstance(backend, PAdic):
+            z = backend.scalar(residue(z.rational, backend.p ** reduce_exp))
     raise MaxIterExceeded(f"no convergence to valuation {target} in {MAX_ITER} steps")

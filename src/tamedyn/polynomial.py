@@ -3,7 +3,9 @@
 The input chart is critical data: distinct marks c_i with local degrees
 d_i >= 2 and a constant term b.  The polynomial is recovered exactly by
 formal antidifferentiation of d * prod (z - c_i)^(d_i - 1), so no
-root-finding ever happens.  Local degrees at disks are computed two
+root-finding ever happens.  Given coefficients are checked against the
+polynomial built so from the marks and a_0: it is the only monic centered
+one with that critical data.  Local degrees at disks are computed two
 independent ways (Taylor-coefficient maximum and the Riemann-Hurwitz
 critical count) and the test-suite cross-checks them.  Tameness is
 checked once, when a polynomial is built: no MarkedPolynomial has a local
@@ -24,22 +26,16 @@ from tamedyn.valued_field import INF, PAdic, Scalar, Val, coprime_fraction, int_
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
 
 
-def poly_trim(cs: list[Scalar]) -> list[Scalar]:
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
-
-
 def poly_mul(a: list[Scalar], b: list[Scalar], zero: Scalar) -> list[Scalar]:
-    if not a or not b:
-        return []
+    """a * b for nonempty a and b, untrimmed: its top coefficient is 1 when
+    both are monic, as every factor of f' is."""
     out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca.is_zero:
             continue
         for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
-    return poly_trim(out)
+    return out
 
 
 def poly_eval(cs: list[Scalar], z: Scalar, zero: Scalar) -> Scalar:
@@ -141,17 +137,6 @@ def _corner(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> Fraction:
     return Fraction(a[1] - b[1], b[0] - a[0])
 
 
-def _critical_derivative(marks, d: int, backend) -> list[Scalar]:
-    """The coefficients of d * prod (z - c_i)^(d_i - 1), ascending."""
-    zero, one = backend.zero, backend.one
-    out = [one]
-    for m in marks:
-        factor = [-m.point, one]
-        for _ in range(m.multiplicity - 1):
-            out = poly_mul(out, factor, zero)
-    return [c.scale(d) for c in out]
-
-
 def _distinct_marks(marks) -> tuple[CriticalMark, ...]:
     """The marks as CriticalMarks, given as such or as (point, multiplicity);
     raises InvalidMarks unless they share one backend and are distinct."""
@@ -165,29 +150,33 @@ def _distinct_marks(marks) -> tuple[CriticalMark, ...]:
     return marks
 
 
-def _verify(coeffs, marks):
-    """Raise InvalidMarks unless coeffs are monic, centered, of degree >= 2,
-    with derivative d * prod (z - c_i)^(d_i - 1) over the marks."""
-    d = len(coeffs) - 1
-    backend = coeffs[0].backend
-    if any(m.point.backend != backend for m in marks):
-        raise InvalidMarks("the coefficients and the marks are over different backends")
-    if d < 2:
-        raise InvalidMarks("degree must be >= 2")
-    if coeffs[d] != backend.one:
-        raise InvalidMarks("polynomial is not monic")
-    if not coeffs[d - 1].is_zero:
-        raise InvalidMarks("polynomial is not centered")
-    if sum(m.multiplicity - 1 for m in marks) != d - 1:
-        raise InvalidMarks("mark multiplicities do not sum to degree - 1")
-    expected = _critical_derivative(marks, d, backend)
-    actual = poly_derivative(list(coeffs))
-    actual = actual + [backend.zero] * (len(expected) - len(actual))
-    for k, (e, a) in enumerate(zip(expected, actual)):
-        if e != a:
-            raise InvalidMarks(
-                f"derivative mismatch at degree {k}: marks are not the critical set"
-            )
+def _antiderivative(marks, b: Scalar) -> list[Scalar]:
+    """The coefficients a_0..a_d of the monic centered f with
+    f' = d prod (z - c_i)^(d_i - 1) and f(0) = b; InvalidMarks unless there
+    is a mark, b is over the marks' backend and the marks center f."""
+    if not marks:
+        raise InvalidMarks("at least one mark required")
+    backend = marks[0].point.backend
+    if b.backend != backend:
+        raise InvalidMarks("the constant term and the marks are over different backends")
+    zero, one = backend.zero, backend.one
+    weighted = zero
+    chart = zero
+    for m in marks:
+        weighted = weighted + m.point.scale(m.multiplicity - 1)
+        chart = chart + m.point.scale(m.multiplicity)
+    if not weighted.is_zero:
+        raise InvalidMarks(
+            "marks do not center the antiderivative: "
+            f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"
+        )
+    crit = [one]  # prod (z - c_i)^(d_i - 1), of degree d - 1
+    for m in marks:
+        factor = [-m.point, one]
+        for _ in range(m.multiplicity - 1):
+            crit = poly_mul(crit, factor, zero)
+    d = len(crit)
+    return [b] + [crit[k - 1].scale(Fraction(d, k)) for k in range(1, d + 1)]
 
 
 def _check_tame(marks, backend):
@@ -248,36 +237,24 @@ class MarkedPolynomial:
     def from_critical_data(cls, marks, b: Scalar) -> "MarkedPolynomial":
         """The unique monic centered f with f' = d prod(z-c_i)^(d_i-1), f(0) = b."""
         marks = _distinct_marks(marks)
-        if not marks:
-            raise InvalidMarks("at least one mark required")
-        backend = marks[0].point.backend
-        if b.backend != backend:
-            raise InvalidMarks("the constant term and the marks are over different backends")
-        zero = backend.zero
-        d = 1 + sum(m.multiplicity - 1 for m in marks)
-        weighted = zero
-        chart = zero
-        for m in marks:
-            weighted = weighted + m.point.scale(m.multiplicity - 1)
-            chart = chart + m.point.scale(m.multiplicity)
-        if not weighted.is_zero:
-            raise InvalidMarks(
-                "marks do not center the antiderivative: "
-                f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"
-            )
-        _check_tame(marks, backend)
-        deriv = _critical_derivative(marks, d, backend)
-        coeffs = [b] + [deriv[k - 1].scale(Fraction(1, k)) for k in range(1, d + 1)]
+        coeffs = _antiderivative(marks, b)
+        _check_tame(marks, b.backend)
         return cls(coeffs, marks)
 
     @classmethod
     def from_coefficients(cls, coeffs, marks) -> "MarkedPolynomial":
-        """Monic centered coefficients a_0..a_d plus caller-supplied marks,
-        verified against the derivative factorization."""
+        """Coefficients a_0..a_d plus caller-supplied marks, which must be
+        the coefficients `from_critical_data(marks, a_0)` builds."""
         marks = _distinct_marks(marks)
-        _verify(coeffs, marks)
+        coeffs = list(coeffs)
+        expected = _antiderivative(marks, coeffs[0])
+        if coeffs != expected:
+            k = next((k for k, (a, e) in enumerate(zip(coeffs, expected)) if a != e),
+                     min(len(coeffs), len(expected)))
+            raise InvalidMarks(f"coefficient of degree {k} is not the one the marks and "
+                               "the constant term give")
         _check_tame(marks, coeffs[0].backend)
-        return cls(list(coeffs), marks)
+        return cls(coeffs, marks)
 
     # -- basic evaluation ------------------------------------------------
 

@@ -13,16 +13,18 @@ Backends:
   over one denominator at integer exponent indices (see :class:`Scalar`);
   a product is one big-integer multiplication (Kronecker substitution,
   see ``_series_product``) and a sum one addition of integer vectors.
+  Inverses and n-th roots of 1-units are one binomial series.
 
 Absolute values are never materialized: |x| = base^(-v(x)) is carried
 around as the exact rational exponent v(x), wrapped in :class:`Val`.
 Larger valuation means smaller absolute value; ``INF`` is the valuation
-of 0.
+of 0.  ``residue`` is the one reduction of a p-adic scalar mod p^K.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -37,14 +39,14 @@ from tamedyn.errors import (
 Rat = Union[int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, lead: str = "expected an int or a Fraction") -> Fraction:
+    """x as a Fraction; TypeError, its message led by `lead`, unless x is an
+    int (not a bool) or a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise TypeError(f"{lead}, not {x!r}")
 
 
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
@@ -413,23 +415,11 @@ class Scalar:
     def _series_inverse(self) -> "Scalar":
         k0, nums, den = self._series
         backend = self.backend
-        # x = c0 t^e0 (1 + h), v(h) > 0: invert the unit via 1/(1+h) = sum (-h)^k.
+        # x = c0 t^e0 (1 + h) with v(h) > 0, so 1/x = t^-e0 / c0 * (1 + h)^-1
         inv_c0 = Fraction(den, nums[0])
         lead_inv = backend.scalar(terms=[(Fraction(-k0, backend.ram_den), inv_c0)])
         h = _series_scalar(backend, 1, nums[1:backend.cutoff_index], den).scale(inv_c0)
-        acc = backend.one
-        if not h.is_zero:
-            term = backend.one
-            neg_h = -h
-            while True:
-                try:
-                    term = term * neg_h
-                except PrecisionExhausted:
-                    break
-                if term.is_zero:
-                    break
-                acc = acc + term
-        return lead_inv * acc
+        return lead_inv * _binomial_series(h, Fraction(-1))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._require_same_backend(other)
@@ -465,27 +455,6 @@ class Scalar:
         k0, nums, den = self._series
         return _series_scalar(self.backend, k0, [n * q.numerator for n in nums],
                               den * q.denominator)
-
-    # -- p-adic representative reduction --------------------------------
-
-    def mod_reduce(self, exponent: int) -> "Scalar":
-        """A congruent scalar mod p^exponent with small height (PAdic only).
-
-        Requires valuation >= 0.  Used to stop doubly-exponential digit
-        growth in Newton/Hensel iterations; the result is an integer
-        representative in [0, p^exponent).
-        """
-        if self._rat is None:
-            return self
-        p = self.backend.p
-        q = self._rat
-        if q == 0:
-            return self
-        if int_valuation(q.denominator, p) != 0:
-            raise PreconditionViolated("mod_reduce needs a p-integral scalar")
-        m = p ** exponent
-        value = q.numerator * pow(q.denominator, -1, m) % m
-        return Scalar(self.backend, rational=Fraction(value))
 
 
 def _series_scalar(backend: SeriesT, k0: int, nums: list, den: int) -> Scalar:
@@ -558,6 +527,29 @@ def _series_product(backend: SeriesT, a: tuple, b: tuple) -> Scalar:
     return _series_scalar(backend, k0, nums, da * db)
 
 
+def residue(q: Fraction, m: int) -> int:
+    """The integer representative of q mod m, in [0, m), for q whose
+    denominator is prime to m."""
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
+def _binomial_series(h: Scalar, alpha: Fraction) -> Scalar:
+    """(1 + h)^alpha = sum_k C(alpha, k) h^k for a series h with v(h) > 0,
+    summed until a term is zero or has no term below the cutoff; the
+    valuations of the terms grow, so the sum ends."""
+    acc = term = h.backend.one
+    if h.is_zero:
+        return acc
+    for k in itertools.count(1):
+        try:
+            term = (term * h).scale((alpha - (k - 1)) / k)
+        except PrecisionExhausted:
+            return acc
+        if term.is_zero:
+            return acc
+        acc = acc + term
+
+
 def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:
     backend = u.backend
     p = backend.p
@@ -567,35 +559,11 @@ def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:
     # raising to the inverse of n modulo that order gives the unique root.
     K = max(1, precision)
     m = p ** K
-    q = u.rational
-    U = q.numerator * pow(q.denominator, -1, m) % m
-    return backend.scalar(Fraction(pow(U, pow(n, -1, p ** (K - 1)), m)))
+    return backend.scalar(pow(residue(u.rational, m), pow(n, -1, p ** (K - 1)), m))
 
 
 def _series_nth_root_unit(u: Scalar, n: int) -> Scalar:
-    backend = u.backend
-    h = u - backend.one
-    if h.is_zero:
-        return backend.one
-    # Binomial series (1+h)^(1/n); terminates because v(h) > 0 and the
-    # cutoff kills high powers.  term carries C(1/n, k) h^k.
-    acc = backend.one
-    term = backend.one
-    alpha = Fraction(1, n)
-    k = 0
-    while True:
-        k += 1
-        try:
-            term = term * h
-        except PrecisionExhausted:
-            break
-        if term.is_zero:
-            break
-        term = term.scale((alpha - (k - 1)) / k)
-        if term.is_zero:
-            break
-        acc = acc + term
-    return acc
+    return _binomial_series(u - u.backend.one, Fraction(1, n))
 
 
 def nth_root_unit(u: Scalar, n: int, precision: Rat = 40) -> Scalar:
@@ -615,6 +583,5 @@ def nth_root_unit(u: Scalar, n: int, precision: Rat = 40) -> Scalar:
     if n == 1:
         return u
     if isinstance(u.backend, PAdic):
-        prec = _as_fraction(precision)
-        return _padic_nth_root_unit(u, n, int(prec.__ceil__()))
+        return _padic_nth_root_unit(u, n, math.ceil(_as_fraction(precision)))
     return _series_nth_root_unit(u, n)

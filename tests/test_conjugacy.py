@@ -37,7 +37,7 @@ def cubic5(c, b):
 BASELINE = (Fraction(1, 5), Fraction(1, 25))
 
 
-@pytest.mark.parametrize("depth", [2, 4])
+@pytest.mark.parametrize("depth", [0, 2, 4])
 @pytest.mark.parametrize("shift", [0, 5 ** 4])
 def test_self_and_translate_pass(depth, shift):
     c, b = BASELINE
@@ -87,6 +87,16 @@ def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
     with pytest.raises(TypeError, match="rho must be None, an int or a Fraction"):
         build_conjugacy(f, f, rho)
     assert not f._records and not f._orbits
+
+
+@pytest.mark.parametrize("depth, error", [(-1, ValueError), (2.5, TypeError), (True, TypeError)])
+def test_invalid_depth_is_refused_before_any_orbit_work(depth, error):
+    # unchecked, depth -1 gives empty trees and a Fail of f against itself,
+    # and depth 2.5 a slicing TypeError after the coordinate comparison
+    f = cubic5(*BASELINE)
+    with pytest.raises(error, match="depth must be"):
+        build_conjugacy(f, f, None, depth=depth)
+    assert not f._records and not f._orbits and not f._phi
 
 
 def series_cubic(precision, b_exp):

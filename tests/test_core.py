@@ -223,6 +223,18 @@ def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
     assert not f._records and not f._orbits
 
 
+@pytest.mark.parametrize("depth, error", [(1.5, TypeError), (True, TypeError), (-1, ValueError)])
+def test_invalid_depth_is_refused_before_any_orbit_work(depth, error):
+    # unchecked, a float depth reaches the export as a JSON float
+    backend = PAdic(5)
+    f = MarkedPolynomial.from_critical_data(
+        [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
+        backend.scalar(Fraction(1, 25)))
+    with pytest.raises(error, match="depth must be"):
+        build_core(f, depth=depth)
+    assert not f._records and not f._orbits
+
+
 @settings(max_examples=200)
 @given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
 def test_valuation_table_matches_scalar_subtraction(p, data):

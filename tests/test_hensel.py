@@ -22,6 +22,12 @@ def poly(*coeffs, backend=Q3):
 
 
 class TestLift:
+    @pytest.mark.parametrize("target", [0.1, True, "5"])
+    def test_target_is_an_exact_rational(self, target):
+        f = poly(0, 1, 1)
+        with pytest.raises(TypeError, match="target must be an int or a Fraction"):
+            lift(f, poly(27, 1, 1), Q3.scalar(0), target)
+
     def test_equal_polynomials_at_target_zero(self):
         f = poly(0, 1, 1)
         res = lift(f, f, Q3.scalar(3), target=0)
@@ -185,3 +191,16 @@ def test_drawn_lifts_contract_and_certify(case):
     assert res.certified_valuation >= Val(target)
     zero = fc[0].backend.zero
     assert (poly_eval(fc, res.value, zero) - poly_eval(gc, x, zero)).valuation() >= Val(target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_cases().filter(lambda case: isinstance(case[0][0].backend, PAdic)))
+def test_padic_iterates_are_reduced_integers(case):
+    fc, gc, x, target = case
+    res = lift(fc, gc, x, target)
+    if not res.iterations:
+        assert res.value == x
+        return
+    value = res.value.rational
+    assert value.denominator == 1
+    assert 0 <= value < fc[0].backend.p ** (target + hensel.REDUCE_MARGIN)

@@ -98,6 +98,32 @@ class TestFromCriticalData:
         assert len(calls) == 2
 
 
+def _q5(*values):
+    return [Q5.scalar(v) for v in values]
+
+
+# each case is one check the comparison with the rebuilt polynomial makes
+MALFORMED_COEFFICIENTS = {
+    "not monic": (_q5(0, -3, 0, 2), [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], "degree 3"),
+    "not centered": (_q5(0, -3, 1, 1), [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], "degree 2"),
+    "degree too low": (_q5(1, 1), [(Q5.scalar(0), 2)], "degree 1"),
+    "multiplicities do not sum to d - 1": (_q5(0, 0, 1), [(Q5.scalar(0), 3)], "degree 2"),
+    "wrong marks": (_q5(0, -3, 0, 1), [(Q5.scalar(2), 2), (Q5.scalar(-2), 2)], "degree 1"),
+    "marks over another backend": ([Q3.scalar(v) for v in (F(-1, 3), 0, 1)],
+                                   [(Q5.scalar(0), 2)], "different backends"),
+    # marks +-1 are wild over PAdic(3), but z^3 + 5 is not their polynomial
+    "malformed and wild": ([Q3.scalar(v) for v in (5, 0, 0, 1)],
+                           [(Q3.scalar(1), 2), (Q3.scalar(-1), 2)], "degree 1"),
+}
+
+
+@pytest.mark.parametrize("coeffs, marks, message", MALFORMED_COEFFICIENTS.values(),
+                         ids=MALFORMED_COEFFICIENTS.keys())
+def test_from_coefficients_refuses(coeffs, marks, message):
+    with pytest.raises(InvalidMarks, match=message):
+        MarkedPolynomial.from_coefficients(coeffs, marks)
+
+
 class TestBasePoint:
     def test_type_iii_base(self):
         f = quad_third()

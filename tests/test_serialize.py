@@ -241,6 +241,11 @@ class TestRoundTrip:
         assert g.coeffs == f.coeffs
         assert g.marks == f.marks
 
+    @settings(max_examples=150)
+    @given(f=polynomials())
+    def test_coefficients_and_marks_rebuild_the_polynomial(self, f):
+        assert MarkedPolynomial.from_coefficients(f.coeffs, f.marks).coeffs == f.coeffs
+
 
 # -- mutated polynomial documents ----------------------------------------------------
 

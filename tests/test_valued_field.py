@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, QQ, Rational, invert, isprime, multiplicity, nextprime, symbols
 
@@ -22,6 +22,7 @@ from tamedyn.valued_field import (
     int_valuation,
     is_prime,
     nth_root_unit,
+    residue,
 )
 
 Q3 = PAdic(3)
@@ -48,6 +49,14 @@ class TestVal:
     def test_refuses_a_float(self):
         with pytest.raises(TypeError):
             Val(0.5)
+
+
+@pytest.mark.parametrize("build", [Val, SeriesT, PAdic(5).scalar, SeriesT(4).scalar, Val(1).__add__],
+                         ids=["Val", "SeriesT", "PAdic.scalar", "SeriesT.scalar", "Val.__add__"])
+@pytest.mark.parametrize("value", [True, False, 0.5, "1/2"])
+def test_exact_rationals_only(build, value):
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        build(value)
 
 
 class TestValuation:
@@ -402,6 +411,44 @@ class TestSeriesCanonicalForm:
         assert w.terms[0] == (0, 1)
         pw, _ = _sympy_poly({int(e * r): c for e, c in w.terms})
         assert _oracle_terms(_mod_cutoff(pw ** n, r, cutoff), 0, r, cutoff) == u.terms
+
+
+def _geometric_inverse(x):
+    """1/x by the geometric series 1/(1 + h) = sum (-h)^k, x = c0 t^e0 (1 + h),
+    summed until a power is zero or has no term below the cutoff: an oracle
+    for the binomial series with alpha = -1."""
+    backend = x.backend
+    (e0, c0), *rest = x.terms
+    lead_inv = backend.scalar(terms=[(-e0, 1 / c0)])
+    neg_h = -backend.scalar(terms=[(e - e0, c / c0) for e, c in rest])
+    acc = term = backend.one
+    while not neg_h.is_zero:
+        try:
+            term = term * neg_h
+        except PrecisionExhausted:
+            break
+        if term.is_zero:
+            break
+        acc = acc + term
+    return lead_inv * acc
+
+
+@settings(max_examples=150)
+@given(case=series_pairs())
+def test_inverse_matches_the_geometric_series(case):
+    r, cutoff, a, _ = case
+    x = _series(r, cutoff, a)
+    assume(x.valuation() != Val(0))
+    assert x._series_inverse() == _geometric_inverse(x)
+
+
+@settings(max_examples=300)
+@given(q=st.fractions(), m=st.integers(1, 10 ** 30))
+def test_residue_is_the_representative_in_range(q, m):
+    assume(math.gcd(q.denominator, m) == 1)
+    r = residue(q, m)
+    assert 0 <= r < m
+    assert (r * q.denominator - q.numerator) % m == 0
 
 
 class TestSeriesSpan:
