@@ -34,7 +34,6 @@ from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.valued_field import INF, Scalar, SeriesT, Val, _as_fraction, nth_root_unit
 
 DEFAULT_PRECISION = Fraction(40)
-ROOT_MARGIN = 4
 
 
 def _check_precision(precision) -> Fraction:
@@ -69,7 +68,7 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Sca
     while 2 * (base - d ** n * v0) < rel_target:
         fw = f(w)
         u = fw / (w ** d)
-        root = nth_root_unit(u, d ** (n + 1), precision=rel_target + ROOT_MARGIN)
+        root = nth_root_unit(u, d ** (n + 1), precision=rel_target)
         phi = phi * root
         w = fw
         n += 1

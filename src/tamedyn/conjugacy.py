@@ -153,33 +153,20 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
 
     # (i) each source edge is a target edge of the same length (module
     # docstring), so only the local degrees can differ
-    isometry = ClauseResult("pass")
     tgt_degree = {e.lower: e.degree for e in tgt.edges}
-    for e in src.edges:
-        te_degree = tgt_degree[fmap[e.lower]]
-        if te_degree != e.degree:
-            isometry = ClauseResult(
-                "fail",
-                f"edge {e.lower}->{e.upper}: degree {e.degree} vs {te_degree}",
-            )
-            break
+    isometry = _first_failure(
+        f"edge {e.lower}->{e.upper}: degree {e.degree} vs {tgt_degree[fmap[e.lower]]}"
+        for e in src.edges if tgt_degree[fmap[e.lower]] != e.degree)
 
     # (ii) equivariance of the recorded dynamics
-    equivariance = ClauseResult("pass")
-    for si, ti in fmap.items():
-        ds = src.dynamics[si]
-        dt = tgt.dynamics[ti]
-        if (ds is None) != (dt is None):
-            equivariance = ClauseResult(
-                "fail", f"vertex {si}: dynamics truncation mismatch"
-            )
-            break
-        if ds is not None and fmap.get(ds) != dt:
-            equivariance = ClauseResult(
-                "fail",
-                f"vertex {si}: map(f(v)) = {fmap.get(ds)} but g(map(v)) = {dt}",
-            )
-            break
+    def equivariance_failures():
+        for si, ti in fmap.items():
+            ds, dt = src.dynamics[si], tgt.dynamics[ti]
+            if (ds is None) != (dt is None):
+                yield f"vertex {si}: dynamics truncation mismatch"
+            elif ds is not None and fmap.get(ds) != dt:
+                yield f"vertex {si}: map(f(v)) = {fmap.get(ds)} but g(map(v)) = {dt}"
+    equivariance = _first_failure(equivariance_failures())
 
     # (iii) locally a translation: every witness of the vertex is moved
     # strictly inside its direction by the vertex's own shift, the move of
@@ -187,19 +174,17 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
     moved = {label: tgt.orbit_value(*label) - src.orbit_value(*label)
              for label in {w for sv in src.vertices for w in sv.witnesses}}
     gaps: dict = {}  # (first, label) -> v(moved[label] - moved[first])
-    local = ClauseResult("pass")
-    for si, sv in enumerate(src.vertices):
-        q, first = sv.point.radius_exp, sv.witnesses[0]
-        for label in sv.witnesses[1:]:
-            if (first, label) not in gaps:
-                gaps[first, label] = (moved[label] - moved[first]).valuation()
-        label = next((label for label in sv.witnesses[1:] if not gaps[first, label] > q), None)
-        if label is not None:
-            local = ClauseResult(
-                "fail",
-                f"vertex {si}: witness {label} leaves its direction under the translation",
-            )
-            break
+
+    def translation_failures():
+        for si, sv in enumerate(src.vertices):
+            q, first = sv.point.radius_exp, sv.witnesses[0]
+            for label in sv.witnesses[1:]:
+                if (first, label) not in gaps:
+                    gaps[first, label] = (moved[label] - moved[first]).valuation()
+                if not gaps[first, label] > q:
+                    yield (f"vertex {si}: witness {label} leaves its direction"
+                           " under the translation")
+    local = _first_failure(translation_failures())
 
     # (iv) coordinate agreement near infinity at the outermost axis vertices
     boettcher = ClauseResult("skipped", "no axis vertices")
@@ -214,11 +199,8 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
     for q, si in axis[:2]:
         # need a witness whose orbit value escaped the base disk, so that
         # the coordinate is defined at it
-        label = None
-        for cand in src.vertices[si].witnesses:
-            if src.orbit_value(*cand).valuation() < base:
-                label = cand
-                break
+        label = next((cand for cand in src.vertices[si].witnesses
+                      if src.orbit_value(*cand).valuation() < base), None)
         if label is None:
             continue
         wf = src.orbit_value(*label)
@@ -237,3 +219,9 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
             boettcher = ClauseResult("pass")
 
     return VerificationReport(isometry, equivariance, local, boettcher)
+
+
+def _first_failure(witnesses) -> ClauseResult:
+    """Fail with the first witness text the generator yields; pass when it yields none."""
+    witness = next(witnesses, None)
+    return ClauseResult("pass") if witness is None else ClauseResult("fail", witness)

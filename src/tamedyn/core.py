@@ -32,12 +32,15 @@ each pool value's numerator and denominator once and runs no gcd
 (``MarkedPolynomial.segment_dynamics``), so an exponent stays an int until
 a ray map divides by a slope that does not divide it, or rho is added.
 
-Each vertex's parent is its closest strict ancestor, the upper end of
-its edge, found with ``compare`` over the larger disks (the benchmark's
-traced run counts those calls; reading the table instead waits for its
-next change, see ROADMAP.md).  Its level counts the vertices on the
-segment from it to the base point: 0 outside the base disk, 1 at the
-base point, and one more than its parent's strictly inside.
+The disks are sorted once, by (radius exponent, first witness), and the
+vertices are numbered in that order.  Each vertex's parent is its closest
+strict ancestor, the upper end of its edge, found with ``compare`` over
+the disks before it (the benchmark's traced run counts those calls;
+reading the table instead waits for its next change, see ROADMAP.md).  A
+parent has a smaller exponent, so vertex 0 is the root.  A vertex's level
+counts the vertices on the segment from it to the base point: 0 outside
+the base disk, 1 at the base point, and one more than its parent's
+strictly inside.
 """
 
 from __future__ import annotations
@@ -310,54 +313,45 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                 if new_counter <= depth + 1:
                     disk(s, q_pre, new_counter)
 
-    # parents: the closest strict ancestor of a disk is the first of the
-    # larger disks, from the smallest up, that contains it
-    pts = {key: BerkPoint(pool[a], Val(key[0])) for key, (a, _) in disks.items()}
-    by_radius = sorted(disks, key=lambda key: key[0])
+    # one order, by (exponent, first label): a disk's closest strict ancestor
+    # is the last of the disks before it, of smaller exponent, that contains
+    # it, and its level is read off its parent's
+    order = sorted(disks, key=lambda key: (key[0], disks[key][1][0]))
+    pts = {key: BerkPoint(pool[disks[key][0]], Val(key[0])) for key in order}
     parent: dict[DiskKey, DiskKey | None] = {}
     level: dict[DiskKey, int] = {}
-    for pos, key in enumerate(by_radius):
+    for pos, key in enumerate(order):
         q = key[0]
-        parent[key] = next((u for u in reversed(by_radius[:pos])
+        parent[key] = next((u for u in reversed(order[:pos])
                             if u[0] < q and compare(pts[key], pts[u]) is Comparison.LESS), None)
         if min(table[disks[key][0]][0], q) < base:  # level 0 outside the base disk
             level[key] = 0
         else:
             level[key] = 1 if q == base else 1 + level[parent[key]]
 
-    # ancestors have no higher level, so the kept disks keep their parents
+    # ancestors have no higher level, so the kept disks keep their parents,
+    # and vertex 0, of the least exponent, is the root.  Each edge joins a
+    # vertex to its parent, of degree 1 + sum (d_i - 1) over the marks in
+    # the disk around its center at the midpoint's exponent.
     depth_truncated = any(lv > depth for lv in level.values())
-    order = sorted((key for key in disks if level[key] <= depth),
-                   key=lambda key: (key[0], disks[key][1][0]))
-    vertex_of = {key: vi for vi, key in enumerate(order)}
-    vertices = tuple(CoreVertex(pts[key], disks[key][1], level[key]) for key in order)
-    parents = [None if parent[key] is None else vertex_of[parent[key]] for key in order]
-    dynamics = []
-    for key in order:
+    kept = [key for key in order if level[key] <= depth]
+    vertex_of = {key: vi for vi, key in enumerate(kept)}
+    mark_slots = [(slot_of[m.point], m.multiplicity - 1) for m in f.marks]
+    vertices, dynamics, edges = [], [], []
+    for vi, key in enumerate(kept):
+        q, (a, labels), u = key[0], disks[key], parent[key]
+        vertices.append(CoreVertex(pts[key], labels, level[key]))
         if images[key] is not None and images[key] not in vertex_of:
             raise AssertionError("image of a vertex is missing from the tree")
         dynamics.append(None if images[key] is None else vertex_of[images[key]])
-
-    # edges: each vertex to its parent, of degree 1 + sum (d_i - 1) over the
-    # marks in the disk around its center at the midpoint's exponent
-    mark_slots = [(slot_of[m.point], m.multiplicity - 1) for m in f.marks]
-    edges = []
-    for vi, pi in enumerate(parents):
-        if pi is None:
-            continue
-        v, u = vertices[vi], vertices[pi]
-        length = v.point.radius_exp.finite - u.point.radius_exp.finite
-        mid = Fraction(v.point.radius_exp.finite + u.point.radius_exp.finite, 2)
-        row = table[disks[order[vi]][0]]
-        degree = 1 + sum(k for s, k in mark_slots if row[s] >= mid)
-        edges.append(CoreEdge(vi, pi, degree, length))
+        if u is not None:
+            mid = Fraction(q + u[0], 2)
+            degree = 1 + sum(k for s, k in mark_slots if table[a][s] >= mid)
+            edges.append(CoreEdge(vi, vertex_of[u], degree, Fraction(q - u[0])))
 
     # boundary markers
-    boundary = []
-    roots = [vi for vi, pi in enumerate(parents) if pi is None]
-    if roots:
-        boundary.append(BoundaryMark("to_infinity", roots[0], "axis continues upward"))
-    children = {pi for pi in parents if pi is not None}
+    boundary = [BoundaryMark("to_infinity", 0, "axis continues upward")]
+    children = {e.upper for e in edges}
     for vi, v in enumerate(vertices):
         if vi in children:
             continue
@@ -375,7 +369,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     if depth_truncated:
         warnings.append(f"vertices beyond level {depth} were pruned")
 
-    return CoreTree(f, rho, depth, fwd, vertices, tuple(edges), tuple(dynamics),
+    return CoreTree(f, rho, depth, fwd, tuple(vertices), tuple(edges), tuple(dynamics),
                     tuple(boundary), tuple(warnings), orbit)
 
 

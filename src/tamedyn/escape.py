@@ -2,18 +2,18 @@
 
 Escape is decided by exact iteration: the orbit leaves the base disk or
 it does not within BUDGET steps.  Each mark's orbit is iterated once per
-polynomial, through the store `MarkedPolynomial.orbit`, and its record
-is kept on the polynomial; the core tree and the coordinate comparison
-read the same values.  Non-escape is certified in two ways.
-An exact cycle of orbit values makes the mark bounded; the kind of its
-bounded component is then resolved by pulling the base point back along
-the orbit with exact piecewise-linear inversions.  Over PAdic with base
-exponent 0 the unit disk maps into itself, so every mark is bounded and
-the only question is whether its orbit cycles.  A rational point is
-preperiodic only if its orbit is bounded at every place of Q
-(Call-Silverman), so an orbit value that escapes at the real place or at
-a prime q != p (see `_wanders`) proves that the orbit never cycles, and
-the component is the whole disk.
+polynomial, through the store `MarkedPolynomial.orbit`, by one loop that
+returns its record, and the record is kept on the polynomial; the core
+tree and the coordinate comparison read the same values.  Non-escape is
+certified in two ways.  An exact cycle of orbit values makes the mark
+bounded; the kind of its bounded component is then resolved by pulling
+the base point back along the orbit with exact piecewise-linear
+inversions.  Over PAdic with base exponent 0 the unit disk maps into
+itself, so every mark is bounded and the only question is whether its
+orbit cycles.  A rational point is preperiodic only if its orbit is
+bounded at every place of Q (Call-Silverman), so an orbit value that
+escapes at the real place or at a prime q != p (see `_wanders`) proves
+that the orbit never cycles, and the component is the whole disk.
 
 For an eventually periodic orbit the ray maps of one period compose to
 a single exact ray map F (a min of lines k*q + v, every k >= 1), and the
@@ -81,18 +81,17 @@ def _height_bits(x: Scalar) -> int:
     return total
 
 
-def iterate_pl_to_limit(F: PiecewiseMonomial, start: Fraction):
+def iterate_pl_to_limit(F: PiecewiseMonomial, start: Fraction) -> Fraction | None:
     """Limit of r -> F.invert(r) from start, requiring F.invert(start) >= start.
 
-    Returns ("fixed", limit) or ("diverges", None): the least fixed point
-    of F at or above start, found among start and the points -v/(k-1)
-    where a line of slope k >= 2 meets the diagonal.
+    Returns the least fixed point of F at or above start, found among start
+    and the points -v/(k-1) where a line of slope k >= 2 meets the
+    diagonal, or None when the iteration diverges.
     """
     if F.invert(start) < start:
         raise AssertionError("pullback iteration must be nondecreasing")
     candidates = [start] + [Fraction(-v, k - 1) for k, v in F.lines if k > 1]
-    fixed = [q for q in candidates if q >= start and F.image_exp(q) == q]
-    return ("fixed", min(fixed)) if fixed else ("diverges", None)
+    return min((q for q in candidates if q >= start and F.image_exp(q) == q), default=None)
 
 
 def _wanders(f: MarkedPolynomial, z: Fraction) -> bool:
@@ -112,27 +111,6 @@ def _wanders(f: MarkedPolynomial, z: Fraction) -> bool:
     return abs(n) * L > f._real_bound * m or m > L or L % m != 0
 
 
-def _orbit_until_exit(f: MarkedPolynomial, mark: CriticalMark):
-    """("escape", m) when f^m(c) is the first value outside the base disk,
-    ("cycle", (preperiod, period)), or ("unknown", n) when no cycle was
-    found by step n: the budget ran out, the height guard tripped, or
-    `_wanders` proved that none will be.  The values are read from and
-    added to the mark's stored orbit."""
-    base = Val(f.base_radius_exp)
-    certify = f._int_coeffs is not None and f.base_radius_exp == 0
-    seen: dict[Scalar, int] = {}
-    for n in range(BUDGET + 1):
-        z = f.orbit(mark, n)[n]
-        if z.valuation() < base:
-            return "escape", n
-        if z in seen:
-            return "cycle", (seen[z], n - seen[z])
-        if n and ((certify and _wanders(f, z.rational)) or _height_bits(z) > MAX_HEIGHT_BITS):
-            return "unknown", n
-        seen[z] = n
-    return "unknown", BUDGET
-
-
 def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -> Bounded:
     base = f.base_radius_exp
     maps = [f.segment_dynamics(values[j]) for j in range(preperiod + period)]
@@ -141,11 +119,10 @@ def _resolve_bounded(f: MarkedPolynomial, values, preperiod: int, period: int) -
     F = maps[preperiod]
     for j in range(preperiod + 1, preperiod + period):
         F = maps[j].compose(F)
-    status, limit = iterate_pl_to_limit(F, base)
-    if status == "diverges":
+    q = iterate_pl_to_limit(F, base)
+    if q is None:
         return Bounded("point", preperiod=preperiod, period=period)
     # pull the cycle limit back through the preperiod
-    q = limit
     for j in reversed(range(preperiod)):
         q = maps[j].invert(q)
     return Bounded("disk", diam_exp=q, preperiod=preperiod, period=period)
@@ -166,21 +143,31 @@ def classify_critical(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
 
 
 def _classify(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
-    status, data = _orbit_until_exit(f, mark)
-    if status == "escape":
-        return Escaping(data)
-    if status == "unknown":
-        if f.base_radius_exp == 0:
-            # base exponent 0 forces integral coefficients, so the unit
-            # disk maps into itself and equals the filled Julia set: the
-            # mark is bounded with the full disk as its component.  The
-            # orbit stopped without a cycle: over PAdic its escape at the
-            # real place or at a prime q != p (`_wanders`) proves none will
-            # come; otherwise the height guard or the budget ended the search
-            return Bounded("disk", diam_exp=Fraction(0))
-        return Unknown(data)
-    preperiod, period = data
-    return _resolve_bounded(f, f.orbit(mark, preperiod + period), preperiod, period)
+    """The record of the mark's stored orbit, read and extended step by
+    step: Escaping(m) when f^m(c) is the first value outside the base disk,
+    the resolved record of a cycle, or, when no cycle was found by step n
+    (the budget ran out, the height guard tripped, or `_wanders` proved
+    that none will come), the unit disk at base exponent 0 and Unknown(n)
+    otherwise."""
+    base = Val(f.base_radius_exp)
+    certify = f._int_coeffs is not None and f.base_radius_exp == 0
+    seen: dict[Scalar, int] = {}
+    for n in range(BUDGET + 1):
+        z = f.orbit(mark, n)[n]
+        if z.valuation() < base:
+            return Escaping(n)
+        if z in seen:
+            return _resolve_bounded(f, f.orbit(mark, n), seen[z], n - seen[z])
+        if n and ((certify and _wanders(f, z.rational)) or _height_bits(z) > MAX_HEIGHT_BITS):
+            break
+        seen[z] = n
+    if f.base_radius_exp == 0:
+        # base exponent 0 forces integral coefficients, so the unit disk
+        # maps into itself and equals the filled Julia set: the mark is
+        # bounded with the full disk as its component, whether the
+        # certificate, the height guard or the budget ended the search
+        return Bounded("disk", diam_exp=Fraction(0))
+    return Unknown(n)
 
 
 def classification_report(f: MarkedPolynomial):

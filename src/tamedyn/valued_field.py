@@ -194,6 +194,8 @@ class PAdic:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise TypeError(f"p must be an int, not {p!r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -232,6 +234,8 @@ class SeriesT:
         precision = _as_fraction(precision)
         if precision <= 0:
             raise ValueError("precision cutoff must be positive")
+        if isinstance(ram_den, bool) or not isinstance(ram_den, int):
+            raise TypeError(f"ram_den must be an int, not {ram_den!r}")
         if ram_den < 1:
             raise ValueError("ramification denominator must be >= 1")
         self.precision = precision
@@ -262,10 +266,13 @@ class SeriesT:
                 f"exponent {e} has denominator not dividing ram_den={self.ram_den}"
             )
 
-    def scalar(self, value=0, terms: Iterable[tuple[Rat, Rat]] | None = None) -> "Scalar":
-        """Build a series scalar from a constant or from (exponent, coeff) pairs."""
+    def scalar(self, value=None, terms: Iterable[tuple[Rat, Rat]] | None = None) -> "Scalar":
+        """Build a series scalar from a constant (zero when omitted) or from
+        (exponent, coeff) pairs; TypeError when given both."""
         if terms is None:
-            terms = [(0, value)]
+            terms = [(0, 0 if value is None else value)]
+        elif value is not None:
+            raise TypeError("give a constant or terms, not both")
         acc = self.zero
         for e, c in terms:
             e = _as_fraction(e)

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
 from tamedyn.errors import NotComparable, NotOutsideBaseDisk, NotTame
@@ -90,6 +93,36 @@ class TestPhiEval:
         phi = phi_eval(f, z, 10)
         lhs = phi_eval(f, f(z), 10)
         assert (lhs - phi * phi).valuation() >= Val(10)
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 7, 9, 25]))
+
+
+@st.composite
+def escaping_points(draw):
+    """(f, w): z^2 + b over PAdic(3|5|7), or a cubic over PAdic(5|7) with
+    marks +-c, and a point w = u p^k strictly outside its base disk."""
+    degree = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([3, 5, 7] if degree == 2 else [5, 7]))
+    backend = PAdic(p)
+    c = draw(SMALL_RATIONALS.filter(bool)) if degree == 3 else F(0)
+    marks = [(backend.scalar(0), 2)] if degree == 2 else [(backend.scalar(c), 2),
+                                                          (backend.scalar(-c), 2)]
+    f = MarkedPolynomial.from_critical_data(marks, backend.scalar(draw(SMALL_RATIONALS)))
+    k = math.ceil(f.base_radius_exp) - draw(st.integers(1, 3))
+    u = draw(st.integers(-50, 50).filter(lambda n: n % p))
+    return f, backend.scalar(u * F(p) ** k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=escaping_points(), precision=st.sampled_from([7, 30, F(61, 2)]))
+def test_phi_eval_is_certified_at_its_precision(case, precision):
+    # each root is taken modulo p^ceil(rel_target): for p not dividing the
+    # root index the root map on 1-units is an isometry, so no margin is needed
+    f, w = case
+    coarse = phi_eval(f, w, precision)
+    fine = phi_eval(f, w, 2 * precision + 5)
+    assert (coarse - fine).valuation() >= Val(precision)
 
 
 class TestRhoCloseness:

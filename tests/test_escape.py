@@ -173,20 +173,20 @@ class TestPullbackIteration:
     def test_agrees_with_naive_iteration(self, lines, start):
         seg = PiecewiseMonomial(lines)
         assume(seg.invert(start) >= start)
-        status, limit = iterate_pl_to_limit(seg, start)
+        limit = iterate_pl_to_limit(seg, start)
         rs = [start]
         for _ in range(40):
             rs.append(seg.invert(rs[-1]))
         assert rs == sorted(rs)
         settled = next((r for r, s in zip(rs, rs[1:]) if r == s), None)
         if settled is not None:
-            assert (status, limit) == ("fixed", settled)
-        elif status == "fixed":
+            assert limit == settled
+        elif limit is not None:
             # approached from below, never reached
             assert seg.invert(limit) == limit and rs[-1] < limit
         else:
             # only a slope-1 inverse piece to the right moves without bound
-            assert limit is None and seg.lines[0][0] == 1
+            assert seg.lines[0][0] == 1
 
     @settings(max_examples=100)
     @given(outer=RAY_LINES, inner=RAY_LINES,
@@ -195,17 +195,16 @@ class TestPullbackIteration:
         # composed as _resolve_bounded composes the ray maps of a period
         seg = PiecewiseMonomial(outer).compose(PiecewiseMonomial(inner))
         assume(seg.invert(start) >= start)
-        status, limit = iterate_pl_to_limit(seg, start)
+        limit = iterate_pl_to_limit(seg, start)
         # where the iteration can first stop: start, or a line meeting the diagonal
         candidates = [start] + [F(-v, k - 1) for k, v in seg.lines if k > 1]
-        if status == "fixed":
+        if limit is not None:
             assert limit >= start and seg.image_exp(limit) == limit
             assert all(seg.image_exp(q) != q for q in candidates if start <= q < limit)
             # F(q) - q is nondecreasing, so it is negative on [start, limit)
             # when a line of slope >= 2 attains F at the limit from the left
             assert limit == start or any(k > 1 and k * limit + v == limit for k, v in seg.lines)
         else:
-            assert limit is None
             assert all(seg.image_exp(q) != q for q in candidates if q >= start)
             # the last piece has slope 1 and lies below the diagonal
             k, v = seg.lines[0]
@@ -228,19 +227,19 @@ ONCE_CASES = {
 
 
 class TestClassifyOnce:
-    """Each mark's orbit is iterated once per polynomial, and the records
-    shared through the cache are those of a fresh classification."""
+    """Each mark is classified once per polynomial, and the records shared
+    through the cache are those of a fresh classification."""
 
     @staticmethod
     def _count_orbits(monkeypatch):
         started = []
-        original = escape._orbit_until_exit
+        original = escape._classify
 
         def counted(f, mark):
             started.append((id(f), mark.point))
             return original(f, mark)
 
-        monkeypatch.setattr(escape, "_orbit_until_exit", counted)
+        monkeypatch.setattr(escape, "_classify", counted)
         return started
 
     @staticmethod
@@ -378,8 +377,13 @@ class TestWanderingCertificate:
         f = quad(b.numerator, b.denominator, backend=PAdic(p))
         for z in orbit:
             assert not escape._wanders(f, z)
-            status, _ = escape._orbit_until_exit(f, CriticalMark(f.backend.scalar(z), 2))
-            assert status == "cycle"
+            values = [f.backend.scalar(z)]
+            while f(values[-1]) not in values:
+                values.append(f(values[-1]))
+            preperiod = values.index(f(values[-1]))
+            rec = escape._classify(f, CriticalMark(values[0], 2))
+            assert isinstance(rec, Bounded)
+            assert (rec.preperiod, rec.period) == (preperiod, len(values) - preperiod)
 
     @settings(max_examples=60, deadline=None)
     @given(f=base0_padic_maps())
