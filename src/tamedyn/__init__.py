@@ -3,8 +3,8 @@
 Two exactly representable non-Archimedean backends are supported: the
 rationals with a p-adic valuation, and truncated Puiseux series over the
 rationals with the t-adic valuation.  Every quantity is an exact rational
-(valuations, radius exponents, hyperbolic lengths) or an exact field
-element; no floating point is used anywhere.
+(valuations, radius exponents, hyperbolic lengths, as ints and Fractions)
+or an exact field element; the one float is math.inf, the valuation of 0.
 """
 
 from tamedyn.valued_field import PAdic, SeriesT, Scalar, Val, nth_root_unit

@@ -1,7 +1,8 @@
 """Points of the Berkovich affine line of types I-III and their tree geometry.
 
 A point is a closed disk D(a, r) in the field, stored as its center and
-the exponent q with r = base^(-q).  Infinite exponent encodes radius 0,
+the exponent q with r = base^(-q), a ``Val`` built from a plain exponent
+(an int, a Fraction or ``math.inf``).  Infinite exponent encodes radius 0,
 i.e. a classical (type I) point.  Type IV points are unrepresentable by
 design; the algorithms in this package never need them.
 
@@ -14,18 +15,11 @@ points is measured in backend log units (one unit = log p for PAdic,
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 from tamedyn.errors import TypeIPoint
-from tamedyn.valued_field import INF, Scalar, Val
-
-
-def _as_val(q) -> Val:
-    if isinstance(q, Val):
-        return q
-    if q is None:
-        return INF
-    return Val(q)
+from tamedyn.valued_field import Scalar, Val
 
 
 class Comparison(enum.Enum):
@@ -42,11 +36,11 @@ class BerkPoint:
 
     def __init__(self, center: Scalar, radius_exp):
         self.center = center
-        self.radius_exp = _as_val(radius_exp)
+        self.radius_exp = radius_exp if isinstance(radius_exp, Val) else Val(radius_exp)
 
     @classmethod
     def classical(cls, center: Scalar) -> "BerkPoint":
-        return cls(center, INF)
+        return cls(center, math.inf)
 
     @property
     def backend(self):
@@ -58,7 +52,7 @@ class BerkPoint:
 
     def contains_scalar(self, b: Scalar) -> bool:
         """Whether the classical point b lies in the closed disk."""
-        return (b - self.center).valuation() >= self.radius_exp
+        return Val((b - self.center).valuation()) >= self.radius_exp
 
     def __eq__(self, other):
         if not isinstance(other, BerkPoint):
@@ -67,7 +61,7 @@ class BerkPoint:
             return False
         if self.radius_exp.is_infinite:
             return self.center == other.center
-        return (self.center - other.center).valuation() >= self.radius_exp
+        return Val((self.center - other.center).valuation()) >= self.radius_exp
 
     def __hash__(self):
         # Equal points may carry different centers; hash only the backend
@@ -88,7 +82,7 @@ def compare(x: BerkPoint, y: BerkPoint) -> Comparison:
         raise TypeError("mixed backends")
     if x == y:
         return Comparison.EQUAL
-    centers = (x.center - y.center).valuation()
+    centers = Val((x.center - y.center).valuation())
     if x.radius_exp >= y.radius_exp and centers >= y.radius_exp:
         return Comparison.LESS
     if y.radius_exp >= x.radius_exp and centers >= x.radius_exp:
@@ -100,7 +94,7 @@ def join(x: BerkPoint, y: BerkPoint) -> BerkPoint:
     """Least upper bound: the smallest disk containing both."""
     if x.backend != y.backend:
         raise TypeError("mixed backends")
-    q = min(x.radius_exp, y.radius_exp, (x.center - y.center).valuation())
+    q = min(x.radius_exp, y.radius_exp, Val((x.center - y.center).valuation()))
     return BerkPoint(x.center, q)
 
 
@@ -113,4 +107,4 @@ def hyp_dist(x: BerkPoint, y: BerkPoint) -> Fraction:
     if x.radius_exp.is_infinite or y.radius_exp.is_infinite:
         raise TypeIPoint("hyperbolic distance needs non-classical points")
     j = join(x, y)
-    return (x.radius_exp - j.radius_exp).finite + (y.radius_exp - j.radius_exp).finite
+    return x.radius_exp.finite + y.radius_exp.finite - 2 * j.radius_exp.finite

@@ -20,6 +20,7 @@ conjugacy check's coordinate clause reads the comparator's values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +32,7 @@ from tamedyn.errors import (
 )
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import INF, Scalar, SeriesT, Val, _as_fraction, nth_root_unit
-
-DEFAULT_PRECISION = Fraction(40)
+from tamedyn.valued_field import Scalar, SeriesT, _as_fraction, nth_root_unit
 
 
 def _check_precision(precision) -> Fraction:
@@ -41,7 +40,7 @@ def _check_precision(precision) -> Fraction:
     return _as_fraction(precision, "precision must be an int or a Fraction")
 
 
-def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Scalar:
+def phi_eval(f: MarkedPolynomial, z: Scalar, precision) -> Scalar:
     """phi(z) to the given absolute valuation precision, an int or a Fraction,
     computed once per polynomial, point and precision.
 
@@ -54,9 +53,8 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Sca
     d = f.degree
     base = f.base_radius_exp
     v0 = z.valuation()
-    if not (v0 < Val(base)):
+    if not v0 < base:
         raise NotOutsideBaseDisk("phi is only evaluated strictly outside the base disk")
-    v0 = v0.finite
     if isinstance(backend, SeriesT) and precision > backend.precision:
         raise PrecisionExhausted(
             f"requested precision {precision} exceeds the series cutoff"
@@ -79,16 +77,12 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision=DEFAULT_PRECISION) -> Sca
 @dataclass(frozen=True)
 class RhoBound:
     """Lower bound on the valuation gap between the two coordinates along
-    first-exit critical values, relative to their modulus.
+    first-exit critical values, relative to their modulus: an int or a
+    Fraction, or math.inf when no difference was detected at the working
+    precision (the spec's operational reading of equal coordinates), so
+    that ``rho_exp < rho`` is false for every rho."""
 
-    rho_exp = INF means no difference was detected at the working
-    precision (the spec's operational reading of equal coordinates)."""
-
-    rho_exp: Val
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.rho_exp.is_infinite
+    rho_exp: int | Fraction | float
 
 
 def _first_exits(f: MarkedPolynomial):
@@ -103,8 +97,7 @@ def _first_exits(f: MarkedPolynomial):
     return out
 
 
-def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
-                  precision=DEFAULT_PRECISION) -> RhoBound:
+def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial, precision) -> RhoBound:
     """Compare the two coordinates along index-aligned escaping marks.
 
     Preconditions: equal degree, equal base exponent, index-aligned mark
@@ -131,7 +124,7 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
         raise NotComparable(
             f"escape patterns differ: {exits_f} vs {exits_g}"
         )
-    rho: Val = INF
+    rho = math.inf
     for mark_f, mark_g, m in zip(f.marks, g.marks, exits_f):
         if m is None:
             continue
@@ -140,7 +133,7 @@ def rho_closeness(f: MarkedPolynomial, g: MarkedPolynomial,
         pf = phi_eval(f, wf, precision)
         pg = phi_eval(g, wg, precision)
         diff_v = (pf - pg).valuation()
-        if diff_v >= Val(precision):
+        if diff_v >= precision:
             continue  # indistinguishable at this precision
         rho = min(rho, diff_v - wf.valuation())
     return RhoBound(rho)

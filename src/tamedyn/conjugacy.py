@@ -23,6 +23,9 @@ exact over PAdic and over SeriesT (truncation at the cutoff is linear).
 Each pair's gap is computed once, for every vertex it meets.  (iv)
 Agreement with the coordinate change at infinity on the outermost axis
 vertices, at the working precision (values the closeness check kept).
+Each clause passes when it has nothing to check: two maps with no
+escaping mark have empty trees, and their basins {|z| > base} are
+conjugate by the coordinates at infinity alone.
 """
 
 from __future__ import annotations
@@ -31,17 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
-from tamedyn.core import CoreTree, CoreVertex, build_core, check_depth, check_rho
+from tamedyn.core import DEFAULT_DEPTH, CoreTree, CoreVertex, build_core, check_depth, check_rho
 from tamedyn.errors import NotComparable, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import Val
 
 PRECISION = Fraction(30)  # working precision of the coordinates at infinity
 
 
 @dataclass(frozen=True)
 class ClauseResult:
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     witness: str = ""
 
     @property
@@ -86,7 +88,7 @@ class ConjugacyMap:
 
 
 def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | None,
-                    depth: int = 4) -> ConjugacyMap:
+                    depth: int = DEFAULT_DEPTH) -> ConjugacyMap:
     """Construct the key map between the two trimmed trees.
 
     Precondition: rho is None or positive, and the coordinates are
@@ -101,7 +103,7 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
     if rho is not None and rho <= 0:
         raise NotComparable("rho must be positive")
     bound = rho_closeness(f, g, precision=PRECISION)
-    if rho is not None and not bound.is_infinite and bound.rho_exp < Val(rho):
+    if rho is not None and bound.rho_exp < rho:
         raise NotComparable(
             f"coordinates are only {bound.rho_exp}-close, below required {rho}"
         )
@@ -110,7 +112,7 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
 
     vertex_map: dict[int, int] = {}
     for si, sv in enumerate(source.vertices):
-        ti = target.vertex_at(sv.point.radius_exp, sv.witnesses[0])
+        ti = target.vertex_at(sv.exponent, sv.witnesses[0])
         if ti is None or target.vertices[ti].witnesses != sv.witnesses:
             raise _transport_failure(si, sv, ti, target)
         vertex_map[si] = ti
@@ -123,7 +125,7 @@ def _transport_failure(si: int, sv: CoreVertex, ti: int | None,
                        target: CoreTree) -> WellDefinednessFailure:
     """Why source vertex si has no target vertex with its key: a label leaves
     the target disk of the first, there is no such disk, or they differ."""
-    q, first = sv.point.radius_exp, sv.witnesses[0]
+    q, first = sv.exponent, sv.witnesses[0]
     t_first = target.orbit_value(*first)
     for other in sv.witnesses[1:]:
         if (target.orbit_value(*other) - t_first).valuation() < q:
@@ -177,7 +179,7 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
 
     def translation_failures():
         for si, sv in enumerate(src.vertices):
-            q, first = sv.point.radius_exp, sv.witnesses[0]
+            q, first = sv.exponent, sv.witnesses[0]
             for label in sv.witnesses[1:]:
                 if (first, label) not in gaps:
                     gaps[first, label] = (moved[label] - moved[first]).valuation()
@@ -186,37 +188,24 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
                            " under the translation")
     local = _first_failure(translation_failures())
 
-    # (iv) coordinate agreement near infinity at the outermost axis vertices
-    boettcher = ClauseResult("skipped", "no axis vertices")
-    axis = [
-        (sv.point.radius_exp.finite, si)
-        for si, sv in enumerate(src.vertices)
-        if sv.level == 0 and sv.point.center.valuation() >= sv.point.radius_exp
-    ]
-    axis.sort()
-    checked = []
-    base = Val(src.f.base_radius_exp)
-    for q, si in axis[:2]:
-        # need a witness whose orbit value escaped the base disk, so that
-        # the coordinate is defined at it
-        label = next((cand for cand in src.vertices[si].witnesses
-                      if src.orbit_value(*cand).valuation() < base), None)
-        if label is None:
-            continue
-        wf = src.orbit_value(*label)
-        wg = tgt.orbit_value(*label)
-        pf = phi_eval(src.f, wf, PRECISION)
-        pg = phi_eval(tgt.f, wg, PRECISION)
-        if not ((pf - pg).valuation() >= Val(q)):
-            boettcher = ClauseResult(
-                "fail",
-                f"axis vertex {si}: transported coordinate differs at exponent {q}",
-            )
-            break
-        checked.append(si)
-    else:
-        if checked:
-            boettcher = ClauseResult("pass")
+    # (iv) coordinate agreement near infinity at the two outermost axis
+    # vertices, at a witness whose orbit value escaped the base disk, so that
+    # the coordinate is defined at it; it passes when there is none, as
+    # clauses (i)-(iii) pass on empty trees
+    def boettcher_failures():
+        base = src.f.base_radius_exp
+        axis = sorted((sv.exponent, si) for si, sv in enumerate(src.vertices)
+                      if sv.level == 0 and sv.center.valuation() >= sv.exponent)
+        for q, si in axis[:2]:
+            label = next((cand for cand in src.vertices[si].witnesses
+                          if src.orbit_value(*cand).valuation() < base), None)
+            if label is None:
+                continue
+            pf = phi_eval(src.f, src.orbit_value(*label), PRECISION)
+            pg = phi_eval(tgt.f, tgt.orbit_value(*label), PRECISION)
+            if not (pf - pg).valuation() >= q:
+                yield f"axis vertex {si}: transported coordinate differs at exponent {q}"
+    boettcher = _first_failure(boettcher_failures())
 
     return VerificationReport(isometry, equivariance, local, boettcher)
 

@@ -16,8 +16,10 @@ of these under the exact ray dynamics.  Every vertex is a disk
 D(a, q) around a value of the pool {0, orbit values, marks}.  The metric
 is ultrametric, so a disk is fixed by its exponent q and the pool values
 it contains: ``build_core`` names it once, as (q, least pool index b with
-v(a - pool[b]) >= q), reading one row of a table of pairwise valuations,
-and keeps its first center and its orbit witnesses (mark index,
+v(a - pool[b]) >= q), reading one row of a table of pairwise valuations.
+A vertex holds the disk's first center, its exponent q (a finite int or
+Fraction, like every exponent here; ``CoreVertex.point`` is the same disk
+as a ``BerkPoint``, for the oracles) and its orbit witnesses (mark index,
 iterate), the orbit values inside.  Two disks of one radius are equal
 exactly when they share a witness, so a finished tree looks a vertex up
 by its radius exponent and any one of its labels.  The image of each
@@ -35,12 +37,12 @@ a ray map divides by a slope that does not divide it, or rho is added.
 The disks are sorted once, by (radius exponent, first witness), and the
 vertices are numbered in that order.  Each vertex's parent is its closest
 strict ancestor, the upper end of its edge, found with ``compare`` over
-the disks before it (the benchmark's traced run counts those calls;
-reading the table instead waits for its next change, see ROADMAP.md).  A
-parent has a smaller exponent, so vertex 0 is the root.  A vertex's level
-counts the vertices on the segment from it to the base point: 0 outside
-the base disk, 1 at the base point, and one more than its parent's
-strictly inside.
+``BerkPoint`` views of the disks before it (the benchmark's traced run
+counts those calls; reading the table instead waits for its next change,
+see ROADMAP.md).  A parent has a smaller exponent, so vertex 0 is the
+root.  A vertex's level counts the vertices on the segment from it to the
+base point: 0 outside the base disk, 1 at the base point, and one more
+than its parent's strictly inside.
 """
 
 from __future__ import annotations
@@ -54,18 +56,26 @@ from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn import escape
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import PAdic, Scalar, Val, _as_fraction, int_valuation
+from tamedyn.valued_field import PAdic, Rat, Scalar, _as_fraction, int_valuation
 
 DEFAULT_DEPTH = 3
 
-DiskKey = tuple[Fraction, int]  # (radius exponent, least pool index inside)
+DiskKey = tuple[Rat, int]  # (radius exponent, least pool index inside)
 
 
 @dataclass(frozen=True)
 class CoreVertex:
-    point: BerkPoint
+    """The disk D(center, base^-exponent), with the orbit values inside it."""
+
+    center: Scalar
+    exponent: Rat
     witnesses: tuple[tuple[int, int], ...]  # (mark index, iterate), sorted
     level: int
+
+    @property
+    def point(self) -> BerkPoint:
+        """The disk as a BerkPoint, for the oracles of the tests and the benchmark."""
+        return BerkPoint(self.center, self.exponent)
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class CoreEdge:
     lower: int  # index of the smaller disk (larger exponent)
     upper: int
     degree: int
-    length: Fraction
+    length: Rat
 
 
 @dataclass(frozen=True)
@@ -96,12 +106,12 @@ class CoreTree:
         self.boundary: tuple[BoundaryMark, ...] = boundary
         self.warnings: tuple[str, ...] = warnings
         self._orbit = orbit  # (mark, iterate) -> Scalar
-        self._index = {(v.point.radius_exp, label): vi
+        self._index = {(v.exponent, label): vi
                        for vi, v in enumerate(vertices) for label in v.witnesses}
 
-    def vertex_at(self, radius_exp: Val, label: tuple[int, int]) -> int | None:
+    def vertex_at(self, exponent: Rat, label: tuple[int, int]) -> int | None:
         """Index of the vertex of this radius exponent around orbit value `label`."""
-        return self._index.get((radius_exp, label))
+        return self._index.get((exponent, label))
 
     def orbit_value(self, mark: int, iterate: int) -> Scalar:
         return self._orbit[(mark, iterate)]
@@ -114,8 +124,8 @@ class CoreTree:
         verts = []
         for v in self.vertices:
             verts.append({
-                "center": scalar_to_json(v.point.center),
-                "radius_exp": val_str(v.point.radius_exp),
+                "center": scalar_to_json(v.center),
+                "radius_exp": val_str(v.exponent),
                 "level": v.level,
                 "witnesses": [[i, n] for i, n in v.witnesses],
             })
@@ -160,7 +170,7 @@ def _valuation_table(pool: list[Scalar], backend) -> list[list]:
     if not isinstance(backend, PAdic):
         for x in range(len(pool)):
             for y in range(x):
-                table[x][y] = table[y][x] = (pool[x] - pool[y]).valuation().finite
+                table[x][y] = table[y][x] = (pool[x] - pool[y]).valuation()
         return table
     p = backend.p
     nums = [w.rational.numerator for w in pool]
@@ -239,7 +249,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         keys_at[s].append(key)
     table = _valuation_table(pool, f.backend)
 
-    cuts: dict[tuple[int, int], Fraction] = {}
+    cuts: dict[tuple[int, int], Rat] = {}
     if rho is not None:
         for (i, n), s in slots.items():
             m = exits[i]
@@ -259,7 +269,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     disks: dict[DiskKey, tuple[int, tuple[tuple[int, int], ...]]] = {}
     pending: list[tuple[DiskKey, int]] = []
 
-    def disk(a: int, q: Fraction, counter: int) -> DiskKey:
+    def disk(a: int, q: Rat, counter: int) -> DiskKey:
         """The key of D(pool[a], q).  A new disk is recorded and queued when
         it is on the tree: q is at least the top exponent, and the disk either
         contains the base disk or an orbit value whose ray is not trimmed at q."""
@@ -317,7 +327,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     # is the last of the disks before it, of smaller exponent, that contains
     # it, and its level is read off its parent's
     order = sorted(disks, key=lambda key: (key[0], disks[key][1][0]))
-    pts = {key: BerkPoint(pool[disks[key][0]], Val(key[0])) for key in order}
+    pts = {key: BerkPoint(pool[disks[key][0]], key[0]) for key in order}
     parent: dict[DiskKey, DiskKey | None] = {}
     level: dict[DiskKey, int] = {}
     for pos, key in enumerate(order):
@@ -340,14 +350,14 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     vertices, dynamics, edges = [], [], []
     for vi, key in enumerate(kept):
         q, (a, labels), u = key[0], disks[key], parent[key]
-        vertices.append(CoreVertex(pts[key], labels, level[key]))
+        vertices.append(CoreVertex(pool[a], q, labels, level[key]))
         if images[key] is not None and images[key] not in vertex_of:
             raise AssertionError("image of a vertex is missing from the tree")
         dynamics.append(None if images[key] is None else vertex_of[images[key]])
         if u is not None:
             mid = Fraction(q + u[0], 2)
             degree = 1 + sum(k for s, k in mark_slots if table[a][s] >= mid)
-            edges.append(CoreEdge(vi, vertex_of[u], degree, Fraction(q - u[0])))
+            edges.append(CoreEdge(vi, vertex_of[u], degree, q - u[0]))
 
     # boundary markers
     boundary = [BoundaryMark("to_infinity", 0, "axis continues upward")]

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Union
 
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
-from tamedyn.valued_field import Scalar, Val
+from tamedyn.valued_field import Scalar
 
 BUDGET = 64  # orbit steps searched for an exit or a cycle, read at call time
 MAX_HEIGHT_BITS = 100_000
@@ -149,8 +149,8 @@ def _classify(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
     (the budget ran out, the height guard tripped, or `_wanders` proved
     that none will come), the unit disk at base exponent 0 and Unknown(n)
     otherwise."""
-    base = Val(f.base_radius_exp)
-    certify = f._int_coeffs is not None and f.base_radius_exp == 0
+    base = f.base_radius_exp
+    certify = f._int_coeffs is not None and base == 0
     seen: dict[Scalar, int] = {}
     for n in range(BUDGET + 1):
         z = f.orbit(mark, n)[n]
@@ -161,7 +161,7 @@ def _classify(f: MarkedPolynomial, mark: CriticalMark) -> EscapeRecord:
         if n and ((certify and _wanders(f, z.rational)) or _height_bits(z) > MAX_HEIGHT_BITS):
             break
         seen[z] = n
-    if f.base_radius_exp == 0:
+    if base == 0:
         # base exponent 0 forces integral coefficients, so the unit disk
         # maps into itself and equals the filled Julia set: the mark is
         # bounded with the full disk as its component, whether the

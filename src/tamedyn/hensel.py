@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from tamedyn.errors import ContractionFailed, HypothesisViolated, MaxIterExceeded
 from tamedyn.polynomial import poly_derivative, poly_eval
-from tamedyn.valued_field import INF, PAdic, Scalar, Val, _as_fraction, residue
+from tamedyn.valued_field import PAdic, Rat, Scalar, _as_fraction, residue
 
 MAX_ITER = 32
 REDUCE_MARGIN = 8
@@ -35,16 +35,16 @@ REDUCE_MARGIN = 8
 @dataclass(frozen=True)
 class LiftStep:
     index: int
-    w_valuation: Val
-    residual_valuation: Val
+    w_valuation: Rat
+    residual_valuation: Rat
 
 
 @dataclass(frozen=True)
 class LiftResult:
     value: Scalar
     iterations: tuple[LiftStep, ...]
-    certified_valuation: Val
-    displacement_valuation: Val  # v(h(x) - x)
+    certified_valuation: Rat | float  # math.inf for an exact root
+    displacement_valuation: Rat | float  # v(h(x) - x), math.inf when h(x) = x
     mu: Fraction | None  # contraction gap s/2 the trace was checked against; None when f = g
 
 
@@ -52,11 +52,11 @@ def _check_gauss_fixed(coeffs: list[Scalar], name: str):
     kmin = None
     for k, c in enumerate(coeffs):
         v = c.valuation()
-        if v < Val(0):
+        if v < 0:
             raise HypothesisViolated(
                 f"{name} does not preserve the unit disk: v(coeff {k}) < 0", clause=1
             )
-        if k >= 1 and v == Val(0):
+        if k >= 1 and v == 0:
             kmin = k
     if kmin is None:
         raise HypothesisViolated(
@@ -84,14 +84,12 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
     width = max(len(fc), len(gc))
     fpad = fc + [zero] * (width - len(fc))
     gpad = gc + [zero] * (width - len(gc))
-    s = INF
-    for cf, cg in zip(fpad, gpad):
-        s = min(s, (cf - cg).valuation())
-    if not (s > Val(0)):
+    s = min((cf - cg).valuation() for cf, cg in zip(fpad, gpad))
+    if not s > 0:
         raise HypothesisViolated("reductions of f and g differ", clause=2)
-    if x.valuation() < Val(0):
+    if x.valuation() < 0:
         raise HypothesisViolated("x lies outside the unit region", clause="region")
-    mu = None if s.is_infinite else Fraction(s.finite, 2)
+    mu = None if s == math.inf else Fraction(s, 2)
     fprime = poly_derivative(fc)
 
     reduce_exp = math.ceil(target) + REDUCE_MARGIN
@@ -101,7 +99,7 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
     for n in range(MAX_ITER + 1):
         residual = poly_eval(fc, z, zero) - gx
         res_v = residual.valuation()
-        if res_v >= Val(target):
+        if res_v >= target:
             displacement = (z - x).valuation()
             return LiftResult(z, tuple(steps), res_v, displacement, mu)
         # below the target the reduction (at target + REDUCE_MARGIN) cannot
@@ -111,7 +109,7 @@ def lift(fc: list[Scalar], gc: list[Scalar], x: Scalar, target) -> LiftResult:
                 f"residual stalled at step {n}: {res_v} vs {steps[-1].residual_valuation} + {mu}"
             )
         deriv = poly_eval(fprime, z, zero)
-        if deriv.valuation() != Val(0):
+        if deriv.valuation() != 0:
             raise HypothesisViolated(
                 f"derivative is not a unit at iterate {n}", clause=3
             )

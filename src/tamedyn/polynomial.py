@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import INF, PAdic, Scalar, Val, coprime_fraction, int_valuation
+from tamedyn.valued_field import PAdic, Scalar, coprime_fraction, int_valuation
 
 
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
@@ -191,7 +191,7 @@ def _check_tame(marks, backend):
         return
     for mi in marks:
         # the disk of radius exponent q about mi holds the marks with v >= q
-        vals = [INF if m is mi else (m.point - mi.point).valuation() for m in marks]
+        vals = [math.inf if m is mi else (m.point - mi.point).valuation() for m in marks]
         for q in sorted(set(vals), reverse=True):
             deg = 1 + sum(m.multiplicity - 1 for m, v in zip(marks, vals) if v >= q)
             if deg % p == 0:
@@ -217,9 +217,8 @@ class MarkedPolynomial:
         self.base_radius_exp = Fraction(0)
         for i in range(self.degree - 1):
             v = self.coeffs[i].valuation()
-            if not v.is_infinite:
-                self.base_radius_exp = min(self.base_radius_exp,
-                                           Fraction(v.finite, self.degree - i))
+            if v != math.inf:
+                self.base_radius_exp = min(self.base_radius_exp, Fraction(v, self.degree - i))
         # over PAdic: the coefficients times L, the lcm of their denominators,
         # v_p(L), and L*R for R = 1 + sum_{i<d} |a_i|: an orbit value beyond
         # R escapes at the real place (see escape._wanders)
@@ -315,14 +314,11 @@ class MarkedPolynomial:
             deg = next(k for k in range(1, len(taylor)) if not taylor[k].is_zero)
             return BerkPoint.classical(fa), deg
         q = x.radius_exp.finite
-        candidates = [
-            (taylor[k].valuation().finite + k * q, k)
-            for k in range(1, len(taylor))
-            if not taylor[k].valuation().is_infinite
-        ]
+        candidates = [(taylor[k].valuation() + k * q, k)
+                      for k in range(1, len(taylor)) if not taylor[k].is_zero]
         best = min(c for c, _ in candidates)
         deg = max(k for c, k in candidates if c == best)
-        return BerkPoint(fa, Val(best)), deg
+        return BerkPoint(fa, best), deg
 
     def local_degree_rh(self, x: BerkPoint) -> int:
         """Riemann-Hurwitz count: 1 + sum of (d_i - 1) over marks in the disk."""
@@ -346,7 +342,7 @@ class MarkedPolynomial:
         """
         if self._int_coeffs is None:
             taylor = self.taylor_at(c)
-            return PiecewiseMonomial([(k, taylor[k].valuation().finite)
+            return PiecewiseMonomial([(k, taylor[k].valuation())
                                       for k in range(1, len(taylor)) if not taylor[k].is_zero])
         n, D = c.rational.numerator, c.rational.denominator
         d, p = self.degree, self.backend.p

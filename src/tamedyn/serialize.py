@@ -9,12 +9,13 @@ and decimal strings with InputError.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from tamedyn.errors import TamedynError
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial
-from tamedyn.valued_field import PAdic, Scalar, SeriesT, Val
+from tamedyn.valued_field import PAdic, Scalar, SeriesT, _as_fraction
 
 
 class InputError(TamedynError):
@@ -80,8 +81,12 @@ def _json_int(value) -> int:
     return value
 
 
-def val_str(v: Val) -> str:
-    return "inf" if v.is_infinite else str(v.finite)
+def val_str(v) -> str:
+    """An exponent as text: "inf" for math.inf, else the exact rational;
+    TypeError unless v is math.inf, an int (not a bool) or a Fraction."""
+    if v == math.inf:
+        return "inf"
+    return str(_as_fraction(v, "an exponent is an int, a Fraction or math.inf"))
 
 
 def backend_from_json(data: dict):

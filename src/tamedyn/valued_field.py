@@ -16,9 +16,17 @@ Backends:
   Inverses and n-th roots of 1-units are one binomial series.
 
 Absolute values are never materialized: |x| = base^(-v(x)) is carried
-around as the exact rational exponent v(x), wrapped in :class:`Val`.
-Larger valuation means smaller absolute value; ``INF`` is the valuation
-of 0.  ``residue`` is the one reduction of a p-adic scalar mod p^K.
+around as the exact exponent v(x).  Every exponent in the package (a
+valuation, a radius, an edge length, a bound) is one plain type: an int, a
+Fraction, or ``math.inf`` for the valuation of 0 and for a bound that no
+difference reached.  Larger valuation means smaller absolute value.
+Arithmetic on ints and Fractions is exact, but math.inf - math.inf is a
+float nan, not an error, so no exponent is computed from two infinite
+ones: ``rho_closeness`` skips a difference at or above its precision,
+``phi_eval`` refuses a point with v(z) >= base, a Hensel lift returns once
+its residual reaches the target, and every tree exponent is finite.
+:class:`Val` wraps an exponent only as a ``BerkPoint``'s radius.
+``residue`` is the one reduction of a p-adic scalar mod p^K.
 """
 
 from __future__ import annotations
@@ -121,17 +129,18 @@ def is_prime(n: int) -> bool:
 
 @functools.total_ordering
 class Val:
-    """Additive valuation value: an exact rational or infinity.
+    """The radius exponent of a ``BerkPoint``: an exact rational, or infinity
+    for a classical point.
 
-    Ordered with infinity as the unique maximum.  Supports addition,
-    subtraction and scaling by exact rationals, with the usual
-    conventions (inf + finite = inf); inf - inf is rejected.
+    Built from a plain exponent (an int, a Fraction or ``math.inf``) and
+    ordered with infinity as the unique maximum.  It has no arithmetic:
+    exponents are computed as plain numbers (module docstring).
     """
 
     __slots__ = ("_q",)
 
-    def __init__(self, q: Rat | None):
-        self._q = None if q is None else _as_fraction(q)
+    def __init__(self, q: Rat | float):
+        self._q = None if q == math.inf else _as_fraction(q)
 
     @property
     def is_infinite(self) -> bool:
@@ -160,32 +169,11 @@ class Val:
     def __hash__(self):
         return hash(self._q)
 
-    def __add__(self, other):
-        o = other._q if isinstance(other, Val) else _as_fraction(other)
-        if self._q is None or o is None:
-            return INF
-        return Val(self._q + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other._q if isinstance(other, Val) else _as_fraction(other)
-        if self._q is None and o is None:
-            raise ValueError("inf - inf is undefined")
-        if self._q is None:
-            return INF
-        if o is None:
-            raise ValueError("finite - inf is undefined")
-        return Val(self._q - o)
-
     def __repr__(self):
         return "Val(inf)" if self._q is None else f"Val({self._q})"
 
     def __str__(self):
         return "inf" if self._q is None else str(self._q)
-
-
-INF = Val(None)
 
 
 class PAdic:
@@ -366,17 +354,21 @@ class Scalar:
 
     # -- valuation ----------------------------------------------------
 
-    def valuation(self) -> Val:
+    def valuation(self) -> int | Fraction | float:
+        """v(self) as the package's one exponent type: an int over PAdic, a
+        Fraction over SeriesT, and math.inf for zero.  math.inf - math.inf
+        is nan, so callers never subtract two valuations that can both be
+        infinite (module docstring)."""
         if self._rat is not None:
             q = self._rat
             if q == 0:
-                return INF
+                return math.inf
             p = self.backend.p
-            return Val(int_valuation(q.numerator, p) - int_valuation(q.denominator, p))
+            return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
         k0, nums, _ = self._series
         if not nums:
-            return INF
-        return Val(Fraction(k0, self.backend.ram_den))
+            return math.inf
+        return Fraction(k0, self.backend.ram_den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -455,10 +447,15 @@ class Scalar:
         return result
 
     def scale(self, q: Rat) -> "Scalar":
-        """Multiply by an exact rational constant."""
+        """Multiply by an exact rational constant; a series by 1 or -1
+        without renormalizing, as each term of a series inverse is scaled."""
         q = _as_fraction(q)
         if self._rat is not None:
             return Scalar(self.backend, rational=self._rat * q)
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
         k0, nums, den = self._series
         return _series_scalar(self.backend, k0, [n * q.numerator for n in nums],
                               den * q.denominator)
@@ -573,19 +570,17 @@ def _series_nth_root_unit(u: Scalar, n: int) -> Scalar:
     return _binomial_series(u - u.backend.one, Fraction(1, n))
 
 
-def nth_root_unit(u: Scalar, n: int, precision: Rat = 40) -> Scalar:
+def nth_root_unit(u: Scalar, n: int, precision: Rat) -> Scalar:
     """The unique w with w^n = u and valuation(w - 1) > 0.
 
     Requires valuation(u - 1) > 0.  Over PAdic the root is computed in
     closed form modulo p^K, K = max(1, precision): valuation(w^n - u) >= K;
-    over SeriesT it is exact up to the cutoff.
+    over SeriesT it is exact up to the cutoff, whatever the precision.
     Raises RootUnavailable when the residue characteristic divides n.
     """
     if n < 1:
         raise ValueError("root index must be >= 1")
-    one = u.backend.one
-    vdiff = (u - one).valuation()
-    if not (vdiff > Val(0)):
+    if not (u - u.backend.one).valuation() > 0:
         raise PreconditionViolated("nth_root_unit requires valuation(u - 1) > 0")
     if n == 1:
         return u

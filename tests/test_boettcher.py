@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
+from tamedyn.boettcher import phi_eval, rho_closeness
 from tamedyn.errors import NotComparable, NotOutsideBaseDisk, NotTame
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import PAdic, SeriesT, Val
+from tamedyn.valued_field import PAdic, SeriesT, nth_root_unit
 
 
 def F(*args):
@@ -42,10 +43,10 @@ class TestPhiEval:
         # at precision P + (d-1)|v(z)| certifies it at valuation P
         f = QUAD
         for z in (Q3.scalar(F(1, 3)), Q3.scalar(F(2, 3)), Q3.scalar(F(1, 27))):
-            prec = 20 + (f.degree - 1) * max(0, -z.valuation().finite)
+            prec = 20 + (f.degree - 1) * max(0, -z.valuation())
             lhs = phi_eval(f, f(z), prec)
             rhs = phi_eval(f, z, prec)
-            assert (lhs - rhs * rhs).valuation() >= Val(20)
+            assert (lhs - rhs * rhs).valuation() >= 20
 
     def test_modulus_agreement(self):
         f = QUAD
@@ -56,14 +57,14 @@ class TestPhiEval:
         f = QUAD
         for z in (Q3.scalar(F(1, 3)), Q3.scalar(F(2, 9))):
             phi = phi_eval(f, z, 25)
-            assert (phi / z - Q3.one).valuation() > Val(0)
+            assert (phi / z - Q3.one).valuation() > 0
 
     def test_precision_scaling(self):
         f = QUAD
         z = Q3.scalar(F(1, 3))
         lo = phi_eval(f, z, 10)
         hi = phi_eval(f, z, 40)
-        assert (lo - hi).valuation() >= Val(10)
+        assert (lo - hi).valuation() >= 10
 
     def test_requires_outside_base_disk(self):
         with pytest.raises(NotOutsideBaseDisk):
@@ -92,7 +93,7 @@ class TestPhiEval:
         z = qt.scalar(terms=[(-1, 1)])
         phi = phi_eval(f, z, 10)
         lhs = phi_eval(f, f(z), 10)
-        assert (lhs - phi * phi).valuation() >= Val(10)
+        assert (lhs - phi * phi).valuation() >= 10
 
 
 SMALL_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 7, 9, 25]))
@@ -122,25 +123,25 @@ def test_phi_eval_is_certified_at_its_precision(case, precision):
     f, w = case
     coarse = phi_eval(f, w, precision)
     fine = phi_eval(f, w, 2 * precision + 5)
-    assert (coarse - fine).valuation() >= Val(precision)
+    assert (coarse - fine).valuation() >= precision
 
 
 class TestRhoCloseness:
     def test_identical(self):
         rb = rho_closeness(QUAD, QUAD, precision=20)
-        assert rb.is_infinite
+        assert rb.rho_exp == math.inf
 
     def test_perturbed_pair(self):
         g = quad(F(-1, 3) + 3 ** 5)
         rb = rho_closeness(QUAD, g, precision=20)
         # frozen from the oracle run: the coordinates differ at valuation
         # gap 6 relative to the first-exit value (v = -1, diff at v = 5)
-        assert rb.rho_exp == Val(6)
+        assert rb.rho_exp == 6
 
     def test_zero_rho_for_direction_mismatch(self):
         g = quad(F(-2, 3))
         rb = rho_closeness(QUAD, g, precision=20)
-        assert rb.rho_exp == Val(0)
+        assert rb.rho_exp == 0
 
     def test_base_point_mismatch(self):
         with pytest.raises(NotComparable):
@@ -167,14 +168,13 @@ class TestRhoCloseness:
         g = quad(F(-1, 3) + 3 ** 5)
         lo = rho_closeness(QUAD, g, precision=12)
         hi = rho_closeness(QUAD, g, precision=30)
-        assert lo.rho_exp == hi.rho_exp == Val(6)
+        assert lo.rho_exp == hi.rho_exp == 6
 
     def test_no_escaping_marks_is_infinite(self):
         f, g = quad(0), quad(-1)
         # no escaping critical points on either side: nothing to compare
-        assert rho_closeness(f, quad(0), precision=10).is_infinite
-        rb = rho_closeness(f, g, precision=10)
-        assert rb.is_infinite
+        assert rho_closeness(f, quad(0), precision=10).rho_exp == math.inf
+        assert rho_closeness(f, g, precision=10).rho_exp == math.inf
 
     @pytest.mark.parametrize("precision", [0.5, 20.0, True])
     def test_float_or_bool_precision_is_refused_before_any_orbit_work(self, precision):
@@ -182,3 +182,9 @@ class TestRhoCloseness:
         with pytest.raises(TypeError, match="precision must be an int or a Fraction"):
             rho_closeness(f, g, precision=precision)
         assert not f._records and not f._orbits and not g._records and not g._orbits
+
+
+@pytest.mark.parametrize("fn", [phi_eval, rho_closeness, nth_root_unit])
+def test_precision_is_required(fn):
+    # the conjugacy check works at conjugacy.PRECISION; no second default
+    assert inspect.signature(fn).parameters["precision"].default is inspect.Parameter.empty

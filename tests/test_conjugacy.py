@@ -22,7 +22,7 @@ from tamedyn.core import build_core
 from tamedyn.errors import NotComparable, TamedynError, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
-from tamedyn.valued_field import PAdic, Val
+from tamedyn.valued_field import PAdic
 
 
 def cubic5(c, b):
@@ -45,6 +45,20 @@ def test_self_and_translate_pass(depth, shift):
     report = verify_extendable(h)
     assert report.overall, report.to_dict()
     assert sorted(h.vertex_map) == sorted(h.vertex_map.values()) == list(range(len(h.source.vertices)))
+
+
+@pytest.mark.parametrize("b_g", [-1, 0])
+def test_maps_with_no_escaping_mark_pass(b_g):
+    # z^2 - 1 over PAdic(3), whose mark cycles 0 -> -1 -> 0, against itself
+    # and against z^2: both basins are {|z| > 1}, conjugated by the
+    # coordinates at infinity, and both trees are empty.  Clause (iv) was
+    # "skipped" for want of an axis vertex, and the report a Fail.
+    Q3 = PAdic(3)
+    f, g = (MarkedPolynomial.from_critical_data([(Q3.zero, 2)], Q3.scalar(b)) for b in (-1, b_g))
+    h = build_conjugacy(f, g, None)
+    assert h.source.vertices == h.target.vertices == ()
+    report = verify_extendable(h)
+    assert report.overall and report.boettcher_at_infinity == ClauseResult("pass")
 
 
 def test_mark_moved_beyond_rho_is_not_comparable():
@@ -146,13 +160,13 @@ def _label_transport(f, g, rho, depth):
     if rho is not None and rho <= 0:
         raise NotComparable("rho must be positive")
     bound = rho_closeness(f, g, precision=PRECISION)
-    if rho is not None and not bound.is_infinite and bound.rho_exp < Val(rho):
+    if rho is not None and bound.rho_exp < rho:
         raise NotComparable(f"coordinates are only {bound.rho_exp}-close, below required {rho}")
     source = build_core(f, rho=rho, depth=depth)
     target = build_core(g, rho=rho, depth=depth)
     vertex_map, translations, used = {}, {}, set()
     for si, sv in enumerate(source.vertices):
-        q = sv.point.radius_exp
+        q = sv.exponent
         first = sv.witnesses[0]
         t_point = BerkPoint(target.orbit_value(*first), q)
         for other in sv.witnesses[1:]:
@@ -210,7 +224,7 @@ def _translation_with_children(src, tgt, fmap, translations):
             pool.extend(src.vertices[child].witnesses)
         for label in pool:
             moved = tgt.orbit_value(*label) - (src.orbit_value(*label) + translations[si])
-            if not moved.valuation() > sv.point.radius_exp:
+            if not moved.valuation() > sv.exponent:
                 return ClauseResult(
                     "fail", f"vertex {si}: witness {label} leaves its direction under the translation")
     return ClauseResult("pass")

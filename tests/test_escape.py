@@ -20,7 +20,7 @@ from tamedyn.escape import (
 )
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.serialize import polynomial_from_json
-from tamedyn.valued_field import PAdic, SeriesT, Val
+from tamedyn.valued_field import PAdic, SeriesT
 
 Q3 = PAdic(3)
 
@@ -317,7 +317,7 @@ class TestOrbitStore:
         classification_report(g)
         calls = self._count_calls(monkeypatch)
         monkeypatch.setattr(boettcher, "phi_eval", lambda f, z, precision: z)
-        rho_closeness(f, g)
+        rho_closeness(f, g, precision=40)
         assert calls == []
 
 
@@ -325,7 +325,7 @@ def _guard_only_record(f, mark, budget=escape.BUDGET):
     """The record of exact iteration without the wandering certificate: a
     cycle, an exit, or the whole unit disk once the height guard or the
     budget stops the orbit (base exponent 0 only)."""
-    base = Val(f.base_radius_exp)
+    base = f.base_radius_exp
     z = mark.point
     values, seen = [z], {z: 0}
     for n in range(1, budget + 1):

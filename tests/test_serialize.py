@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -17,8 +18,9 @@ from tamedyn.serialize import (
     raw_coefficients_from_json,
     scalar_from_json,
     scalar_to_json,
+    val_str,
 )
-from tamedyn.valued_field import PAdic, SeriesT
+from tamedyn.valued_field import PAdic, SeriesT, Val
 
 Q5 = PAdic(5)
 QT = SeriesT(precision=8)
@@ -29,6 +31,18 @@ def _decimal_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(Decimal(q.numerator))
     return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
+@pytest.mark.parametrize("v, text", [(3, "3"), (-2, "-2"), (Fraction(-7, 2), "-7/2"),
+                                     (Fraction(4), "4"), (math.inf, "inf")])
+def test_val_str_writes_an_exponent(v, text):
+    assert val_str(v) == text
+
+
+@pytest.mark.parametrize("v", [Val(3), Val(math.inf), 0.5, math.nan, -math.inf, True, "3"])
+def test_val_str_refuses_anything_else(v):
+    with pytest.raises(TypeError, match="an exponent is an int, a Fraction or math.inf"):
+        val_str(v)
 
 
 class TestLongIntegers:
