@@ -43,19 +43,23 @@ see ROADMAP.md).  A parent has a smaller exponent, so vertex 0 is the
 root.  A vertex's level counts the vertices on the segment from it to the
 base point: 0 outside the base disk, 1 at the base point, and one more
 than its parent's strictly inside.
+
+``export_core`` writes its text directly, one template per record, and the
+text is byte-identical to ``json.dumps`` with sorted keys and indent 2.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn import escape
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
+from tamedyn.serialize import scalar_to_json, val_str
 from tamedyn.valued_field import PAdic, Rat, Scalar, _as_fraction, int_valuation
 
 DEFAULT_DEPTH = 3
@@ -115,41 +119,6 @@ class CoreTree:
 
     def orbit_value(self, mark: int, iterate: int) -> Scalar:
         return self._orbit[(mark, iterate)]
-
-    # -- exports ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        from tamedyn.serialize import scalar_to_json, val_str
-
-        verts = []
-        for v in self.vertices:
-            verts.append({
-                "center": scalar_to_json(v.center),
-                "radius_exp": val_str(v.exponent),
-                "level": v.level,
-                "witnesses": [[i, n] for i, n in v.witnesses],
-            })
-        edges = [
-            {"lower": e.lower, "upper": e.upper, "degree": e.degree,
-             "length": str(e.length)}
-            for e in self.edges
-        ]
-        return {
-            "schema": 1,
-            "rho": "inf" if self.rho is None else str(self.rho),
-            "depth": self.depth,
-            "budget": escape.BUDGET,
-            "fwd_depth": self.fwd_depth,
-            "base_radius_exp": str(self.f.base_radius_exp),
-            "vertices": verts,
-            "edges": edges,
-            "dynamics": [d for d in self.dynamics],
-            "boundary": [
-                {"kind": b.kind, "vertex": b.vertex, "detail": b.detail}
-                for b in self.boundary
-            ],
-            "warnings": list(self.warnings),
-        }
 
 
 def _axis_only_tree(f, rho, depth, warnings) -> CoreTree:
@@ -237,13 +206,11 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     # critical mark position, each distinct value once; disks and orbit
     # keys refer to them by index, and table[x][y] = v(pool[x] - pool[y])
     # is computed once per pair (infinite on the diagonal only)
-    pool: list[Scalar] = [zero]
     slot_of: dict[Scalar, int] = {zero: 0}
-    for w in [*orbit.values(), *(mark.point for mark in f.marks)]:
-        if w not in slot_of:
-            slot_of[w] = len(pool)
-            pool.append(w)
-    slots = {key: slot_of[w] for key, w in orbit.items()}
+    slots = {key: slot_of.setdefault(w, len(slot_of)) for key, w in orbit.items()}
+    mark_slots = [(slot_of.setdefault(m.point, len(slot_of)), m.multiplicity - 1)
+                  for m in f.marks]
+    pool: list[Scalar] = list(slot_of)
     keys_at: list[list[tuple[int, int]]] = [[] for _ in pool]
     for key, s in slots.items():
         keys_at[s].append(key)
@@ -346,7 +313,6 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     depth_truncated = any(lv > depth for lv in level.values())
     kept = [key for key in order if level[key] <= depth]
     vertex_of = {key: vi for vi, key in enumerate(kept)}
-    mark_slots = [(slot_of[m.point], m.multiplicity - 1) for m in f.marks]
     vertices, dynamics, edges = [], [], []
     for vi, key in enumerate(kept):
         q, (a, labels), u = key[0], disks[key], parent[key]
@@ -383,5 +349,39 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                     tuple(boundary), tuple(warnings), orbit)
 
 
+# the records of the export, as json.dumps(indent=2, sort_keys=True) lays them out
+_TREE = ('{\n  "base_radius_exp": %s,\n  "boundary": %s,\n  "budget": %d,\n  "depth": %d,\n'
+         '  "dynamics": %s,\n  "edges": %s,\n  "fwd_depth": %d,\n  "rho": %s,\n  "schema": 1,\n'
+         '  "vertices": %s,\n  "warnings": %s\n}\n')
+_VERTEX = ('{\n      "center": %s,\n      "level": %d,\n      "radius_exp": %s,\n'
+           '      "witnesses": %s\n    }')
+_EDGE = '{\n      "degree": %d,\n      "length": %s,\n      "lower": %d,\n      "upper": %d\n    }'
+_BOUNDARY = '{\n      "detail": %s,\n      "kind": %s,\n      "vertex": %s\n    }'
+_PAIR = '[\n          %s,\n          %s\n        ]'  # a witness or a series term
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """The encoded items as a JSON list, one per line at `indent` spaces: "[]" when empty."""
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
+
+
+def _json_center(x: Scalar) -> str:
+    data = scalar_to_json(x)  # a rational or the (exponent, coefficient) pairs of a series
+    return _quote(data) if isinstance(data, str) else _json_list(
+        [_PAIR % (_quote(e), _quote(c)) for e, c in data], 8)
+
+
 def export_core(tree: CoreTree) -> str:
-    return json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
+    vertices = [_VERTEX % (_json_center(v.center), v.level, _quote(val_str(v.exponent)),
+                           _json_list([_PAIR % label for label in v.witnesses], 8))
+                for v in tree.vertices]
+    edges = [_EDGE % (e.degree, _quote(str(e.length)), e.lower, e.upper) for e in tree.edges]
+    boundary = [_BOUNDARY % (_quote(b.detail), _quote(b.kind),
+                             "null" if b.vertex is None else b.vertex) for b in tree.boundary]
+    dynamics = ["null" if d is None else str(d) for d in tree.dynamics]
+    return _TREE % (
+        _quote(str(tree.f.base_radius_exp)), _json_list(boundary, 4), escape.BUDGET,
+        tree.depth, _json_list(dynamics, 4), _json_list(edges, 4), tree.fwd_depth,
+        _quote("inf" if tree.rho is None else str(tree.rho)), _json_list(vertices, 4),
+        _json_list([_quote(w) for w in tree.warnings], 4))

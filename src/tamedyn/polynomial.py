@@ -213,12 +213,13 @@ class MarkedPolynomial:
         self._records: dict = {}  # mark -> EscapeRecord, kept by escape.classify_critical
         self._orbits: dict = {}  # mark -> [c, f(c), f^2(c), ...], extended by orbit()
         self._phi: dict = {}  # (z, precision) -> phi(z), kept by boettcher.phi_eval
-        # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2
-        self.base_radius_exp = Fraction(0)
+        # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2, an int when integral
+        base = Fraction(0)
         for i in range(self.degree - 1):
             v = self.coeffs[i].valuation()
             if v != math.inf:
-                self.base_radius_exp = min(self.base_radius_exp, Fraction(v, self.degree - i))
+                base = min(base, Fraction(v, self.degree - i))
+        self.base_radius_exp = base.numerator if base.denominator == 1 else base
         # over PAdic: the coefficients times L, the lcm of their denominators,
         # v_p(L), and L*R for R = 1 + sum_{i<d} |a_i|: an orbit value beyond
         # R escapes at the real place (see escape._wanders)

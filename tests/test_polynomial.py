@@ -13,6 +13,8 @@ from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic, SeriesT, Val, coprime_fraction
 
+from test_core import _series_cubic
+
 Q3 = PAdic(3)
 Q5 = PAdic(5)
 Q2 = PAdic(2)
@@ -523,3 +525,31 @@ class TestIntegerEvaluation:
         assert type(q) is Fraction
         _same_rational(q, Fraction(n, d))
         assert q == Fraction(n, d) and hash(q) == hash(Fraction(n, d))
+
+
+@st.composite
+def series_polynomials(draw):
+    """The cubics of test_core's series trees: marks +-t^lead, b = t^b_exp."""
+    ram_den = draw(st.integers(1, 3))
+    lead, b_exp = (str(Fraction(draw(st.integers(lo * ram_den, hi * ram_den)), ram_den))
+                   for lo, hi in ((-1, 1), (-5, 0)))
+    return _series_cubic("20", ram_den, lead, b_exp)
+
+
+class TestBaseExponentType:
+    """The base exponent is an int exactly when it is integral, like every
+    exponent of the exact core, and a Fraction otherwise."""
+
+    @settings(max_examples=200)
+    @given(f=st.one_of(polynomial_and_point().map(lambda case: case[0]), series_polynomials()))
+    def test_an_int_exactly_when_integral(self, f):
+        expected = min([Fraction(0)] + [Fraction(v, f.degree - i)
+                                        for i, c in enumerate(f.coeffs[:-2])
+                                        if (v := c.valuation()) != math.inf])
+        assert f.base_radius_exp == expected
+        assert type(f.base_radius_exp) is (int if expected.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("b_exp, expected", [("-4", F(-4, 3)), ("-3", -1), ("-6", -2)])
+    def test_series_cubic(self, b_exp, expected):
+        f = _series_cubic("30", 1, "-1", b_exp)
+        assert f.base_radius_exp == expected and type(f.base_radius_exp) is type(expected)

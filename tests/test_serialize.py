@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tamedyn import escape
 from tamedyn.core import build_core, export_core
 from tamedyn.errors import InvalidMarks, NotTame, PrecisionExhausted, TamedynError
 from tamedyn.polynomial import MarkedPolynomial
@@ -22,8 +23,21 @@ from tamedyn.serialize import (
 )
 from tamedyn.valued_field import PAdic, SeriesT, Val
 
+from test_core import SERIES_TREES, TREES
+
 Q5 = PAdic(5)
 QT = SeriesT(precision=8)
+
+
+def _padic_polynomial(p, marks, b):
+    """Over PAdic(p), with every mark of multiplicity 2."""
+    return polynomial_from_json({"backend": {"kind": "padic", "p": p},
+                                 "marks": [{"c": c, "mult": 2} for c in marks], "b": b})
+
+
+def _tree_past_the_digit_limit():
+    """A depth-6 tree with vertex centers of more than 4,300 decimal digits."""
+    return build_core(_padic_polynomial(5, ["35/3", "-35/3"], "-13/25"), depth=6)
 
 
 def _decimal_str(q: Fraction) -> str:
@@ -89,15 +103,11 @@ class TestLongIntegers:
             scalar_from_json(Q5, literal)
 
     def test_export_past_the_digit_limit(self):
-        f = polynomial_from_json({"backend": {"kind": "padic", "p": 5},
-                                  "marks": [{"c": "35/3", "mult": 2},
-                                            {"c": "-35/3", "mult": 2}],
-                                  "b": "-13/25"})
-        tree = build_core(f, depth=6)
+        tree = _tree_past_the_digit_limit()
         vertices = json.loads(export_core(tree))["vertices"]
         assert max(len(v["center"]) for v in vertices) > 4300
         for v, exported in zip(tree.vertices, vertices):
-            assert scalar_from_json(f.backend, exported["center"]) == v.point.center
+            assert scalar_from_json(tree.f.backend, exported["center"]) == v.point.center
 
 
 P5 = {"kind": "padic", "p": 5}
@@ -325,3 +335,75 @@ def test_mutated_polynomial_raises_only_package_errors(doc):
         polynomial_from_json(doc)
     except TamedynError:
         pass
+
+
+def _core_dict(tree) -> dict:
+    """The export as a dict: ``export_core`` must write the text that
+    json.dumps(indent=2, sort_keys=True) makes of it."""
+    return {
+        "schema": 1,
+        "rho": "inf" if tree.rho is None else str(tree.rho),
+        "depth": tree.depth,
+        "budget": escape.BUDGET,
+        "fwd_depth": tree.fwd_depth,
+        "base_radius_exp": str(tree.f.base_radius_exp),
+        "vertices": [{"center": scalar_to_json(v.center), "radius_exp": val_str(v.exponent),
+                      "level": v.level, "witnesses": [[i, n] for i, n in v.witnesses]}
+                     for v in tree.vertices],
+        "edges": [{"lower": e.lower, "upper": e.upper, "degree": e.degree,
+                   "length": str(e.length)} for e in tree.edges],
+        "dynamics": list(tree.dynamics),
+        "boundary": [{"kind": b.kind, "vertex": b.vertex, "detail": b.detail}
+                     for b in tree.boundary],
+        "warnings": list(tree.warnings),
+    }
+
+
+def _assert_export_is_the_json_text(tree):
+    assert export_core(tree) == json.dumps(_core_dict(tree), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=80)
+@given(tree=st.one_of(TREES, SERIES_TREES))
+def test_export_of_drawn_trees_is_the_json_text(tree):
+    _assert_export_is_the_json_text(tree)
+
+
+# tree -> what makes it a case of its own
+EXPORT_CASES = {
+    "rho-trimmed": (lambda: build_core(_padic_polynomial(5, ["1/5", "-1/5"], "1/625"),
+                                       rho=Fraction(2), depth=1),
+                    lambda t: any(b.kind == "trimmed" for b in t.boundary)),
+    "depth-truncated": (lambda: build_core(_padic_polynomial(5, ["1/5", "-1/5"], "2/125"),
+                                           depth=1),
+                        lambda t: t.warnings == ("vertices beyond level 1 were pruned",)),
+    "unresolved mark": (lambda: build_core(_padic_polynomial(3, ["0", "1/3", "-1/3"], "9"),
+                                           depth=2),
+                        lambda t: "unresolved" in t.warnings[0] and t.vertices),
+    "axis only": (lambda: build_core(_padic_polynomial(5, ["0"], "1"), depth=2),
+                  lambda t: not t.vertices and not t.edges and not t.dynamics),
+    "past the digit limit": (_tree_past_the_digit_limit,
+                             lambda t: max(len(scalar_to_json(v.center))
+                                           for v in t.vertices) > 4300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+def test_export_of_fixed_trees_is_the_json_text(case):
+    build, is_the_case = EXPORT_CASES[case]
+    tree = build()
+    assert is_the_case(tree)
+    _assert_export_is_the_json_text(tree)
+
+
+def test_equal_orbit_values_of_two_marks_share_their_vertices():
+    # f' = 4z(z - 1/5)(z + 1/5) is odd, so f is even and f(1/5) = f(-1/5):
+    # from iterate 1 on, marks 1 and 2 have one orbit, one pool value per step
+    f = _padic_polynomial(5, ["0", "1/5", "-1/5"], "1/25")
+    assert [m.point.rational for m in f.marks] == [0, Fraction(1, 5), Fraction(-1, 5)]
+    tree = build_core(f, depth=3)
+    shared = [(v, n) for v in tree.vertices for i, n in v.witnesses if i == 1 and n >= 1]
+    assert shared
+    for v, n in shared:
+        assert (2, n) in v.witnesses
+    _assert_export_is_the_json_text(tree)
