@@ -23,10 +23,15 @@ as a ``BerkPoint``, for the oracles) and its orbit witnesses (mark index,
 iterate), the orbit values inside.  Two disks of one radius are equal
 exactly when they share a witness, so a finished tree looks a vertex up
 by its radius exponent and any one of its labels.  The image of each
-vertex is recorded by the closure's forward step.  An edge's degree, the
-Riemann-Hurwitz count at its midpoint, is read off its lower vertex's row
-(the marks are in the pool); ``MarkedPolynomial.local_degree_rh`` is the
-tests' oracle for it.
+vertex is recorded by the closure's forward step.
+
+The joins come from the pool's dendrogram (``_joins``): for each pool index
+a >= 1, q = max(table[a][:a]) and the join D(pool[a], q), centered at its
+least index.  These n - 1 joins are all of them.  Let K be a join at exponent q,
+l its least index, and a the least index in K outside the open ball of
+radius q around l.  Every earlier index in K lies in that ball, so its
+distance to a is exactly q, and every earlier index outside K is farther,
+so max(table[a][:a]) = q and D(pool[a], q) = K.
 
 Over PAdic the table and the ray maps are integer kernels: the table reads
 each pool value's numerator and denominator once and runs no gcd
@@ -34,15 +39,18 @@ each pool value's numerator and denominator once and runs no gcd
 (``MarkedPolynomial.segment_dynamics``), so an exponent stays an int until
 a ray map divides by a slope that does not divide it, or rho is added.
 
-The disks are sorted once, by (radius exponent, first witness), and the
-vertices are numbered in that order.  Each vertex's parent is its closest
-strict ancestor, the upper end of its edge, found with ``compare`` over
-``BerkPoint`` views of the disks before it (the benchmark's traced run
-counts those calls; reading the table instead waits for its next change,
-see ROADMAP.md).  A parent has a smaller exponent, so vertex 0 is the
-root.  A vertex's level counts the vertices on the segment from it to the
-base point: 0 outside the base disk, 1 at the base point, and one more
-than its parent's strictly inside.
+One pass over the disks, in (radius exponent, first witness) order, gives
+each its parent, level, vertex and edge.  The parent is its closest strict
+ancestor, found with ``compare`` over ``BerkPoint`` views of the disks
+before it (the benchmark's traced run counts those calls; reading the
+table instead waits for its next change, see ROADMAP.md).  The level
+counts the vertices on the segment from the disk to the base point: 0
+outside the base disk, 1 at the base point, and one more than its parent's
+strictly inside.  A disk of level above the depth is skipped; ancestors
+have no higher level, so a kept disk's parent is kept, and vertex 0 is the
+root.  An edge's degree, the Riemann-Hurwitz count at its midpoint, is read
+off its lower vertex's row (the marks are in the pool);
+``MarkedPolynomial.local_degree_rh`` is the tests' oracle for it.
 
 ``export_core`` writes its text directly, one template per record, and the
 text is byte-identical to ``json.dumps`` with sorted keys and indent 2.
@@ -121,15 +129,6 @@ class CoreTree:
         return self._orbit[(mark, iterate)]
 
 
-def _axis_only_tree(f, rho, depth, warnings) -> CoreTree:
-    boundary = (
-        BoundaryMark("julia_base", None, "base point bounds the tree from below"),
-        BoundaryMark("to_infinity", None, "open axis toward infinity"),
-    )
-    return CoreTree(f, rho, depth, max(2, depth), (), (), (), boundary,
-                    tuple(warnings), {})
-
-
 def _valuation_table(pool: list[Scalar], backend) -> list[list]:
     """table[x][y] = v(pool[x] - pool[y]) for distinct values, math.inf on
     the diagonal.  Over PAdic in integers: with x = n_x/D_x, the entry is
@@ -155,6 +154,14 @@ def _valuation_table(pool: list[Scalar], backend) -> list[list]:
                      - den_vals[x] - den_vals[y])
             table[x][y] = table[y][x] = e
     return table
+
+
+def _joins(table: list[list]):
+    """(least pool index inside, exponent) of the join of each pool index a >= 1
+    with its nearest earlier values: every join, as the module docstring shows."""
+    for a in range(1, len(table)):
+        q = max(table[a][:a])
+        yield next(b for b, e in enumerate(table[a]) if e >= q), q
 
 
 def check_rho(rho) -> None:
@@ -192,7 +199,9 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                 f"mark {i} unresolved within budget; tree is a verified subtree"
             )
     if not exits:
-        return _axis_only_tree(f, rho, depth, warnings)
+        boundary = (BoundaryMark("julia_base", None, "base point bounds the tree from below"),
+                    BoundaryMark("to_infinity", None, "open axis toward infinity"))
+        return CoreTree(f, rho, depth, max(2, depth), (), (), (), boundary, tuple(warnings), {})
 
     fwd = max(2, depth)
     orbit: dict[tuple[int, int], Scalar] = {
@@ -216,17 +225,13 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         keys_at[s].append(key)
     table = _valuation_table(pool, f.backend)
 
+    # rho cuts: v(w) + rho from the first exit m on; before m, the next cut pulled back
     cuts: dict[tuple[int, int], Rat] = {}
     if rho is not None:
-        for (i, n), s in slots.items():
-            m = exits[i]
-            if n >= m:
-                cuts[(i, n)] = table[s][0] + rho
-            else:
-                t = table[slots[(i, m)]][0] + rho
-                for k in range(m - 1, n - 1, -1):
-                    t = segs[(i, k)].invert(t)
-                cuts[(i, n)] = t
+        for i, m in exits.items():
+            for n in range(m + fwd, -1, -1):
+                cuts[(i, n)] = (table[slots[(i, n)]][0] + rho if n >= m
+                                else segs[(i, n)].invert(cuts[(i, n + 1)]))
 
     top_exp = min(table[s][0] for s in slots.values() if s != 0)
 
@@ -254,11 +259,10 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             pending.append((key, counter))
         return key
 
-    # the base point plus all pairwise joins of the pool
+    # the base point plus every join of the pool
     disk(0, base, 0)
-    for a in range(len(pool)):
-        for b in range(a + 1, len(pool)):
-            disk(a, table[a][b], 0)
+    for least, q in _joins(table):
+        disk(least, q, 0)
 
     # closure under the exact ray dynamics, forward and backward; backward
     # steps inside the base disk are counted against `depth`.  The forward
@@ -290,40 +294,31 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                 if new_counter <= depth + 1:
                     disk(s, q_pre, new_counter)
 
-    # one order, by (exponent, first label): a disk's closest strict ancestor
-    # is the last of the disks before it, of smaller exponent, that contains
-    # it, and its level is read off its parent's
+    # one pass in (exponent, first label) order: a disk's parent is the last of
+    # the disks before it, of smaller exponent, that contains it
     order = sorted(disks, key=lambda key: (key[0], disks[key][1][0]))
     pts = {key: BerkPoint(pool[disks[key][0]], key[0]) for key in order}
-    parent: dict[DiskKey, DiskKey | None] = {}
     level: dict[DiskKey, int] = {}
+    vertex_of: dict[DiskKey, int] = {}  # kept disk -> vertex number
+    vertices, edges = [], []
     for pos, key in enumerate(order):
-        q = key[0]
-        parent[key] = next((u for u in reversed(order[:pos])
-                            if u[0] < q and compare(pts[key], pts[u]) is Comparison.LESS), None)
-        if min(table[disks[key][0]][0], q) < base:  # level 0 outside the base disk
-            level[key] = 0
-        else:
-            level[key] = 1 if q == base else 1 + level[parent[key]]
-
-    # ancestors have no higher level, so the kept disks keep their parents,
-    # and vertex 0, of the least exponent, is the root.  Each edge joins a
-    # vertex to its parent, of degree 1 + sum (d_i - 1) over the marks in
-    # the disk around its center at the midpoint's exponent.
-    depth_truncated = any(lv > depth for lv in level.values())
-    kept = [key for key in order if level[key] <= depth]
-    vertex_of = {key: vi for vi, key in enumerate(kept)}
-    vertices, dynamics, edges = [], [], []
-    for vi, key in enumerate(kept):
-        q, (a, labels), u = key[0], disks[key], parent[key]
+        q, (a, labels) = key[0], disks[key]
+        u = next((u for u in reversed(order[:pos])
+                  if u[0] < q and compare(pts[key], pts[u]) is Comparison.LESS), None)
+        level[key] = (0 if min(table[a][0], q) < base  # outside the base disk
+                      else 1 if q == base else 1 + level[u])
+        if level[key] > depth:
+            continue
+        vertex_of[key] = len(vertices)
         vertices.append(CoreVertex(pool[a], q, labels, level[key]))
-        if images[key] is not None and images[key] not in vertex_of:
-            raise AssertionError("image of a vertex is missing from the tree")
-        dynamics.append(None if images[key] is None else vertex_of[images[key]])
         if u is not None:
-            mid = Fraction(q + u[0], 2)
+            mid = Fraction(q + u[0], 2)  # degree: 1 + sum (d_i - 1), marks in D(pool[a], mid)
             degree = 1 + sum(k for s, k in mark_slots if table[a][s] >= mid)
-            edges.append(CoreEdge(vi, vertex_of[u], degree, q - u[0]))
+            edges.append(CoreEdge(vertex_of[key], vertex_of[u], degree, q - u[0]))
+    if any(images[key] is not None and images[key] not in vertex_of for key in vertex_of):
+        raise AssertionError("image of a vertex is missing from the tree")
+    dynamics = [None if images[key] is None else vertex_of[images[key]] for key in vertex_of]
+    depth_truncated = len(vertex_of) < len(disks)  # some disk was skipped
 
     # boundary markers
     boundary = [BoundaryMark("to_infinity", 0, "axis continues upward")]

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from tamedyn import escape
 from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
-from tamedyn.core import _valuation_table, build_core
+from tamedyn.core import _joins, _valuation_table, build_core
 from tamedyn.escape import Escaping, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
-from tamedyn.valued_field import PAdic
+from tamedyn.valued_field import PAdic, SeriesT
 
 AT_MOST = (Comparison.LESS, Comparison.EQUAL)
 
@@ -33,18 +33,27 @@ def _p_adic_number(p, unit, exp):
 
 @st.composite
 def escaping_polynomials(draw):
-    """Quadratics z^2 + b with v(b) < 0 (p = 3, 5, 7), and cubics with marks
-    +-c and quartics with marks c1, c2, -c1-c2, all of local degree 2, with
-    b non-integral (p = 5, 7, where degrees 3 and 4 are tame)."""
+    """Quadratics z^2 + b with v(b) < 0 (p = 3, 5, 7); cubics with marks +-c and
+    quartics with marks c1, c2, -c1-c2, all of local degree 2; z^3 + b and
+    z^4 + b (one mark at 0, of local degree 3 or 4); and quartics with marks
+    c of local degree 3 and -2c of local degree 2.  Beyond quadratics, b is
+    non-integral and p = 5, 7, where degrees 3 and 4 are tame."""
     unit = st.integers(min_value=-9, max_value=9).filter(bool)
-    marks = draw(st.integers(min_value=1, max_value=3))
-    p = draw(st.sampled_from([3, 5, 7] if marks == 1 else [5, 7]))
+    shape = draw(st.integers(min_value=1, max_value=6))
+    p = draw(st.sampled_from([3, 5, 7] if shape == 1 else [5, 7]))
     backend = PAdic(p)
     b = _p_adic_number(p, draw(unit), -draw(st.integers(min_value=1, max_value=4)))
-    cs = [_p_adic_number(p, draw(unit), -draw(st.integers(0, 2))) for _ in range(marks - 1)]
-    cs.append(-sum(cs))
-    assume(len(set(cs)) == len(cs))
-    return MarkedPolynomial.from_critical_data([(backend.scalar(c), 2) for c in cs],
+    if shape <= 3:  # shape marks, each of local degree 2
+        cs = [_p_adic_number(p, draw(unit), -draw(st.integers(0, 2))) for _ in range(shape - 1)]
+        cs.append(-sum(cs))
+        assume(len(set(cs)) == len(cs))
+        marks = [(c, 2) for c in cs]
+    elif shape <= 5:
+        marks = [(Fraction(0), shape - 1)]
+    else:
+        c = _p_adic_number(p, draw(unit), -draw(st.integers(0, 2)))
+        marks = [(c, 3), (-2 * c, 2)]
+    return MarkedPolynomial.from_critical_data([(backend.scalar(c), k) for c, k in marks],
                                                backend.scalar(b))
 
 
@@ -235,21 +244,42 @@ def test_invalid_depth_is_refused_before_any_orbit_work(depth, error):
     assert not f._records and not f._orbits
 
 
+@st.composite
+def padic_pools(draw, p):
+    """Pools of 0 and values of exponents -3..3 (many of one valuation), plus
+    values x + u p^j, which cancel with x to a higher valuation when j > v(x)."""
+    prime_to_p = st.integers(min_value=-20, max_value=20).filter(lambda n: n % p)
+    xs = draw(st.lists(st.builds(lambda u, w, e: Fraction(u, abs(w)) * Fraction(p) ** e,
+                                 prime_to_p, prime_to_p, st.integers(-3, 3)),
+                       min_size=1, max_size=6))
+    shifts = draw(st.lists(st.tuples(st.integers(0, len(xs) - 1), st.integers(-3, 6),
+                                     prime_to_p), max_size=4))
+    values = [Fraction(0), *xs, *(xs[i] + u * Fraction(p) ** j for i, j, u in shifts)]
+    return [PAdic(p).scalar(a) for a in dict.fromkeys(values)]
+
+
+@st.composite
+def series_pools(draw):
+    """The same shape over SeriesT(6, ram_den 1-2): 0, sums of up to three
+    terms of exponents -3..3, and values x + u t^j."""
+    backend = SeriesT(6, draw(st.integers(min_value=1, max_value=2)))
+    term = st.tuples(st.integers(-3 * backend.ram_den, 3 * backend.ram_den),
+                     st.integers(-4, 4).filter(bool))
+    xs = [backend.scalar(terms=[(Fraction(k, backend.ram_den), c) for k, c in x])
+          for x in draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=6))]
+    shifts = draw(st.lists(st.tuples(st.integers(0, len(xs) - 1), term), max_size=4))
+    values = [backend.zero, *xs,
+              *(xs[i] + backend.scalar(terms=[(Fraction(k, backend.ram_den), c)])
+                for i, (k, c) in shifts)]
+    return list(dict.fromkeys(values))
+
+
 @settings(max_examples=200)
 @given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
 def test_valuation_table_matches_scalar_subtraction(p, data):
-    """The integer table against v(x - y) by Scalar subtraction, on pools of 0
-    and values of exponents -3..3 (many of one valuation), plus values
-    x + u p^j, which cancel with x to a higher valuation when j > v(x)."""
-    prime_to_p = st.integers(min_value=-20, max_value=20).filter(lambda n: n % p)
-    xs = data.draw(st.lists(st.builds(lambda u, w, e: Fraction(u, abs(w)) * Fraction(p) ** e,
-                                      prime_to_p, prime_to_p, st.integers(-3, 3)),
-                            min_size=1, max_size=6))
-    shifts = data.draw(st.lists(st.tuples(st.integers(0, len(xs) - 1), st.integers(-3, 6),
-                                          prime_to_p), max_size=4))
-    values = [Fraction(0), *xs, *(xs[i] + u * Fraction(p) ** j for i, j, u in shifts)]
+    """The integer table against v(x - y) by Scalar subtraction."""
     backend = PAdic(p)
-    pool = [backend.scalar(a) for a in dict.fromkeys(values)]
+    pool = data.draw(padic_pools(p))
     table = _valuation_table(pool, backend)
     for x, a in enumerate(pool):
         assert table[x][x] == math.inf
@@ -274,3 +304,14 @@ def test_base_point_sits_at_the_fastest_critical_escape_rate(f):
             rates.append(Fraction(f.orbit(mark, m)[m].valuation(), f.degree ** m))
     assume(rates)
     assert min(rates) == f.base_radius_exp
+
+
+@settings(max_examples=150)
+@given(pool=st.one_of(st.sampled_from([3, 5, 7]).flatmap(padic_pools), series_pools()))
+def test_joins_are_every_pairwise_join(pool):
+    """The dendrogram's joins against all pairwise joins D(pool[a], table[a][b]),
+    each named by (least pool index inside, exponent)."""
+    table = _valuation_table(pool, pool[0].backend)
+    pairwise = {(next(c for c, e in enumerate(table[a]) if e >= table[a][b]), table[a][b])
+                for a in range(len(pool)) for b in range(a + 1, len(pool))}
+    assert set(_joins(table)) == pairwise
