@@ -38,6 +38,10 @@ each pool value's numerator and denominator once and runs no gcd
 (``_valuation_table``), and each ray map comes from integer Taylor data
 (``MarkedPolynomial.segment_dynamics``), so an exponent stays an int until
 a ray map divides by a slope that does not divide it, or rho is added.
+Outside the base disk a ray map is the closed form of ``escaped_ray_map``
+at the table's v(w), exact because f is tame and every critical point lies
+in the base disk; so no Taylor shift runs on a value past its first exit,
+whose height grows d-fold per step.
 
 One pass over the disks, in (radius exponent, first witness) order, gives
 each its parent, level, vertex and edge.  The parent is its closest strict
@@ -66,7 +70,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from tamedyn.berkovich import BerkPoint, Comparison, compare
 from tamedyn import escape
 from tamedyn.escape import Escaping, Unknown, classify_critical
-from tamedyn.polynomial import MarkedPolynomial
+from tamedyn.polynomial import MarkedPolynomial, escaped_ray_map
 from tamedyn.serialize import scalar_to_json, val_str
 from tamedyn.valued_field import PAdic, Rat, Scalar, _as_fraction, int_valuation
 
@@ -207,10 +211,6 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     orbit: dict[tuple[int, int], Scalar] = {
         (i, n): w for i, m in exits.items()
         for n, w in enumerate(f.orbit(f.marks[i], m + fwd)[:m + fwd + 1])}
-    # ray maps on every value with a successor: the last one of each orbit
-    # is never stepped from, forward, backward or by a rho cut
-    segs = {(i, n): f.segment_dynamics(w) for (i, n), w in orbit.items() if n < exits[i] + fwd}
-
     # candidate vertex centers: 0, the materialized orbit values and every
     # critical mark position, each distinct value once; disks and orbit
     # keys refer to them by index, and table[x][y] = v(pool[x] - pool[y])
@@ -224,6 +224,10 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     for key, s in slots.items():
         keys_at[s].append(key)
     table = _valuation_table(pool, f.backend)
+    # ray maps on every value with a successor, in closed form outside the base disk:
+    # the last one of each orbit is never stepped from, forward, backward or by a rho cut
+    segs = {(i, n): escaped_ray_map(f.degree, v) if (v := table[slots[(i, n)]][0]) < base
+            else f.segment_dynamics(w) for (i, n), w in orbit.items() if n < exits[i] + fwd}
 
     # rho cuts: v(w) + rho from the first exit m on; before m, the next cut pulled back
     cuts: dict[tuple[int, int], Rat] = {}

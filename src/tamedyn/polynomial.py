@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import PAdic, Scalar, coprime_fraction, int_valuation
+from tamedyn.valued_field import PAdic, Rat, Scalar, coprime_fraction, int_valuation
 
 
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
@@ -123,6 +123,18 @@ class PiecewiseMonomial:
         """q -> self(inner(q)); a min of lines since every slope is positive."""
         return PiecewiseMonomial([(k1 * k2, k1 * v2 + v1)
                                   for k1, v1 in self.lines for k2, v2 in inner.lines])
+
+
+def escaped_ray_map(d: int, v: Rat) -> PiecewiseMonomial:
+    """The ray map q -> min(d*q, q + (d-1)*v) of a tame monic centered f of
+    degree d at a point w with v = v(w) below the base exponent.
+
+    f_d = 1, and v(f'(w)) = (d-1)*v: every critical point lies in the base
+    disk, and p does not divide d.  Every other line k*q + v(f_k) has
+    v(f_k) >= (d-k)*v, so it meets these two only at q = v, and the hull
+    drops it.  ``segment_dynamics`` is the Taylor-route oracle.
+    """
+    return PiecewiseMonomial(((1, (d - 1) * v), (d, 0)))
 
 
 def _exact_quotient(a: Fraction, k: int) -> Fraction:

@@ -11,8 +11,9 @@ Backends:
   the truncation ideal).  This models a residue-characteristic-0 field,
   so every polynomial over it is tame.  A scalar is integer numerators
   over one denominator at integer exponent indices (see :class:`Scalar`);
-  a product is one big-integer multiplication (Kronecker substitution,
-  see ``_series_product``) and a sum one addition of integer vectors.
+  a product is a schoolbook convolution of the integer numerators (the
+  products the program makes are short, see ``_series_product``) and a
+  sum one addition of integer vectors.
   Inverses and n-th roots of 1-units are one binomial series.
 
 Absolute values are never materialized: |x| = base^(-v(x)) is carried
@@ -479,29 +480,14 @@ def _series_scalar(backend: SeriesT, k0: int, nums: list, den: int) -> Scalar:
     return Scalar(backend, series=(k0 + lo, tuple(nums), den // g))
 
 
-def _pack(nums, nbytes: int) -> int:
-    """sum n * 2^(8*nbytes*i): the numerators in slots of `nbytes` bytes."""
-    pos = bytearray(nbytes * len(nums))
-    neg = bytearray(len(pos))
-    for i, n in enumerate(nums):
-        if n > 0:
-            pos[i * nbytes:(i + 1) * nbytes] = n.to_bytes(nbytes, "little")
-        elif n < 0:
-            neg[i * nbytes:(i + 1) * nbytes] = (-n).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _series_product(backend: SeriesT, a: tuple, b: tuple) -> Scalar:
     """a*b below the cutoff, for the series forms a and b of nonzero scalars.
 
-    Kronecker substitution: with r = ram_den, each operand's numerators
-    are an integer polynomial in X = t^(1/r) (shifted by its lowest index),
-    packed into one big int by X = 2^w; a single big-int multiplication
-    then gives every numerator of the product as one w-bit slot.  Each is
-    a sum of at most min(len a, len b) products n_a * n_b, so with w >=
-    bits(max |n_a|) + bits(max |n_b|) + bits(min(len a, len b)) + 1 it lies
-    strictly inside +-2^(w-1) and its slot holds it as a balanced signed
-    digit.  Truncation at the cutoff is reading only the slots below it.
+    A schoolbook convolution of the numerators, over the shorter operand's
+    nonzero ones.  Products are short: of the 2,476 of a series-core corpus
+    pass, 1,073 have an operand of at most 3 terms and 32 two of 32 or more.
+    On their operands a Kronecker substitution (one product of packed big
+    ints) took twice as long, and 1.3x as long with every cutoff tripled.
     """
     ka, na, da = a
     kb, nb, db = b
@@ -511,23 +497,14 @@ def _series_product(backend: SeriesT, a: tuple, b: tuple) -> Scalar:
         # The lowest term of a product of nonzero series is nonzero, so
         # the product is zero only when all of it fell past the cutoff.
         raise PrecisionExhausted("product has no representable term below the cutoff")
-    na, nb = na[:slots], nb[:slots]
-    width = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
-             + min(len(na), len(nb)).bit_length() + 1)
-    nbytes = (width + 7) // 8
+    if len(na) > len(nb):
+        na, nb = nb, na
     slots = min(slots, len(na) + len(nb) - 1)  # the product has no higher term
-    product = _pack(na, nbytes) * _pack(nb, nbytes)
-    # the low slots of the product, in two's complement when it is negative
-    raw = (product & ((1 << (8 * nbytes * slots)) - 1)).to_bytes(nbytes * slots, "little")
-    half = 1 << (8 * nbytes - 1)
-    nums = []
-    carry = 0
-    for i in range(0, nbytes * slots, nbytes):
-        n = int.from_bytes(raw[i:i + nbytes], "little") + carry
-        carry = n >= half
-        if carry:
-            n -= half << 1
-        nums.append(n)
+    nums = [0] * slots
+    for i, x in enumerate(na[:slots]):
+        if x:
+            for j, y in enumerate(nb[:slots - i], i):
+                nums[j] += x * y
     return _series_scalar(backend, k0, nums, da * db)
 
 

@@ -95,6 +95,34 @@ def series_trees(draw):
 SERIES_TREES = series_trees()
 
 
+@st.composite
+def late_trees(draw):
+    """Trees whose mark 0 first exits late: the cubic with marks +-c and
+    b = 2c^3 - 2c + pi^k, where f(c) = -2c + pi^k lies pi^k-close to the
+    repelling fixed point -2c of the unperturbed map, so the orbit of c
+    first leaves the base disk after about k/2 steps.  c = 1/p over
+    PAdic(5|7) with k in 1-12, and c = 1/t over SeriesT(60) with k in 1-20;
+    rho None, 1 or 2.  Past the exit, orbit values reach a million bits,
+    and their ray maps are the closed form.  Depth 4 is drawn only up to
+    k = 10, which keeps a tree and its oracle under about two seconds."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([5, 7]))
+        backend = PAdic(p)
+        c, pi = backend.scalar(Fraction(1, p)), backend.scalar(p)
+        k = draw(st.integers(1, 12))
+    else:
+        backend = SeriesT(60)
+        c, pi = backend.scalar(terms=[(-1, 1)]), backend.scalar(terms=[(1, 1)])
+        k = draw(st.integers(1, 20))
+    b = (c * c * c).scale(2) - c.scale(2) + pi ** k
+    f = MarkedPolynomial.from_critical_data([(c, 2), (-c, 2)], b)
+    return _tree(f, draw(st.sampled_from([None, Fraction(1), Fraction(2)])),
+                 draw(st.integers(min_value=1, max_value=4 if k <= 10 else 3)))
+
+
+LATE_TREES = late_trees()
+
+
 def _linear_index(tree, point):
     return next((i for i, v in enumerate(tree.vertices) if v.point == point), None)
 

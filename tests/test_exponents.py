@@ -4,11 +4,12 @@ float or NaN, and math.inf only where a valuation or a bound can be infinite.
     python3 -m pytest tests/test_exponents.py
 
 Each job of ``bench/corpus/*.json`` (only read, as in ``tests/test_corpus.py``)
-and each drawn tree of ``tests/test_core.py`` runs under a trace that sees
-every tamedyn function return.  It checks
+and each drawn tree of ``tests/test_core.py``, late first exits among them,
+runs under a trace that sees every tamedyn function return.  It checks
 - what the functions that make exponents return: ``Scalar.valuation`` (math.inf
-  for zero), every ray-map line of ``segment_dynamics``, the vertex exponents,
-  edge lengths and base exponent of ``build_core``, ``rho_closeness``'s
+  for zero), every ray-map line of ``segment_dynamics`` and of
+  ``escaped_ray_map``, the vertex exponents, edge lengths and base exponent
+  of ``build_core``, ``rho_closeness``'s
   ``rho_exp`` (math.inf when no difference shows), ``Bounded.diam_exp`` from
   ``escape._classify``, and the valuations of a Hensel ``lift`` (math.inf only
   for its certified and displacement valuations);
@@ -29,12 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamedyn
-from tamedyn import escape, hensel, valued_field
+from tamedyn import escape, hensel, polynomial, valued_field
 from tamedyn.boettcher import rho_closeness
 from tamedyn.core import build_core
 from tamedyn.polynomial import MarkedPolynomial
 
-from test_core import SERIES_TREES, TREES
+from test_core import LATE_TREES, SERIES_TREES, TREES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -87,6 +88,7 @@ def _ray_map_exponents(seg):
 RESULTS = {
     valued_field.Scalar.valuation.__code__: lambda v: [("valuation", v, True)],
     MarkedPolynomial.segment_dynamics.__code__: _ray_map_exponents,
+    polynomial.escaped_ray_map.__code__: _ray_map_exponents,
     build_core.__code__: _tree_exponents,
     rho_closeness.__code__: lambda bound: [("rho_exp", bound.rho_exp, True)],
     escape._classify.__code__: _record_exponents,
@@ -150,4 +152,12 @@ def test_corpus_job_exponents_are_exact(job_id):
 def test_drawn_tree_exponents_are_exact(data):
     with _traced() as violations:
         data.draw(st.one_of(TREES, SERIES_TREES))
+    assert not violations[:5]
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_late_exit_tree_exponents_are_exact(data):
+    with _traced() as violations:
+        data.draw(LATE_TREES)
     assert not violations[:5]

@@ -428,6 +428,76 @@ def test_integer_ray_map_matches_taylor_valuations(case):
     assert f.segment_dynamics(z).lines == oracle.lines
 
 
+UNITS = st.builds(lambda u, sign: sign * u, st.sampled_from([1, 2, 4, 8, 11, 13, 16, 17, 19]),
+                  st.sampled_from([1, -1]))  # prime to 3, 5 and 7
+
+
+def _value(backend, pairs):
+    """sum c * pi^e over the (e, c) pairs, with pi = p over PAdic and t over SeriesT."""
+    if isinstance(backend, PAdic):
+        return backend.scalar(sum(c * Fraction(backend.p) ** e for e, c in pairs))
+    return backend.scalar(terms=pairs)
+
+
+@st.composite
+def escaped_points(draw):
+    """A tame f from critical data over PAdic(3|5|7) or SeriesT (ram_den
+    1-3), of degree 2-5, and a point w with v(w) below its base exponent.
+    d - 1 is split among up to three marks, the last one placed to center
+    f; marks have exponents -2..2 and b -6..2.  Over SeriesT, f and w are
+    built at the cutoff d*|v(w)| + 30: the Taylor shift by w carries a
+    truncation down by up to d*|v(w)|, so the leading terms of the Taylor
+    coefficients, which fix the oracle's lines, stay exact."""
+    d = draw(st.integers(2, 5))
+    parts, rest = [], d - 1  # local degree - 1 of each mark
+    while rest and len(parts) < 2:
+        parts.append(draw(st.integers(1, rest)))
+        rest -= parts[-1]
+    if rest:
+        parts.append(rest)
+    series = draw(st.booleans())
+    r = draw(st.integers(1, 3)) if series else 1
+
+    def pairs(low, high, size):
+        ks = draw(st.lists(st.integers(low * r, high * r), min_size=1, max_size=size, unique=True))
+        return [(Fraction(k, r), draw(UNITS)) for k in ks]
+
+    marks = [pairs(-2, 2, 2) for _ in parts[:-1]]
+    b = pairs(-6, 2, 3) if draw(st.booleans()) else []
+
+    def build(backend):
+        cs = [_value(backend, m) for m in marks]
+        weighted = backend.zero
+        for c, k in zip(cs, parts):
+            weighted = weighted + c.scale(k)
+        cs.append(weighted.scale(Fraction(-1, parts[-1])))
+        assume(len(set(cs)) == len(cs))
+        try:
+            return MarkedPolynomial.from_critical_data(
+                [(c, k + 1) for c, k in zip(cs, parts)], _value(backend, b))
+        except NotTame:
+            assume(False)
+
+    backend = SeriesT(30, r) if series else PAdic(draw(st.sampled_from([3, 5, 7])))
+    beta = build(backend).base_radius_exp
+    lead = math.ceil(beta * r) - 1 - draw(st.integers(0, 4))
+    w = [(Fraction(lead, r), draw(UNITS))]
+    w += [(Fraction(k, r), c) for k, c in draw(st.dictionaries(
+        st.integers(lead + 1, lead + 20 * r), UNITS, max_size=3)).items()]
+    if series:
+        backend = SeriesT(d * abs(w[0][0]) + 30, r)
+    return build(backend), _value(backend, w)
+
+
+@settings(max_examples=200)
+@given(case=escaped_points())
+def test_escaped_ray_map_matches_the_taylor_route(case):
+    f, w = case
+    assert w.valuation() < f.base_radius_exp
+    assert polynomial.escaped_ray_map(f.degree, w.valuation()).lines == \
+        f.segment_dynamics(w).lines
+
+
 class TestExpansionLaw:
     def test_single_piece_expansion(self):
         # on a slope-k piece, distances expand exactly by k

@@ -4,7 +4,7 @@ The two trees are matched as disks: a vertex of ``build_core`` matches the
 oracle vertex of the same exponent and witnesses whose center lies in its
 disk, one to one.  Through that matching the parents, edge degrees, levels,
 dynamics and boundary kinds must agree.  The trees are drawn over PAdic and
-SeriesT, and every golden core tree is checked too.
+SeriesT, late first exits among them, and every golden core tree is checked too.
 """
 
 from pathlib import Path
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from tamedyn import escape
 from tamedyn.core import build_core, export_core
-from test_core import SERIES_TREES, TREES
+from test_core import LATE_TREES, SERIES_TREES, TREES
 from test_golden import GOLDEN, _poly, _series_cubic, baseline_cubic5
 from tree_oracle import oracle_tree
 
@@ -53,6 +53,12 @@ def test_padic_trees_match_the_oracle(tree):
 @settings(max_examples=40)
 @given(tree=SERIES_TREES)
 def test_series_trees_match_the_oracle(tree):
+    assert_matches_oracle(tree, budget=12)
+
+
+@settings(max_examples=20)
+@given(tree=LATE_TREES)
+def test_late_exit_trees_match_the_oracle(tree):
     assert_matches_oracle(tree, budget=12)
 
 

@@ -336,17 +336,14 @@ class TestSeriesArithmeticOracle:
            signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
            start_a=st.integers(-6, 3), start_b=st.integers(-6, 3))
     @settings(max_examples=100)
-    def test_product_digits_at_the_slot_boundary(self, r, bits_a, length_bits, spare, signs,
-                                                  start_a, start_b):
+    def test_dense_product_of_large_digits_and_its_middle_digit(
+            self, r, bits_a, length_bits, spare, signs, start_a, start_b):
         # Dense operands of length L = 2^j - 1 (j >= 2) with every coefficient
         # +-(2^m - 1) (m >= 3, all bits set, one sign per operand): the middle
-        # digit of the product, L (2^m_a - 1)(2^m_b - 1), has m_a + m_b + j
-        # bits, one below the slot width m_a + m_b + j + 1.  With that width
-        # a whole number of bytes (spare = 0) the digit sets the highest bit
-        # below the sign bit, as close to the boundary +-(2^(w-1) - 1) as
-        # the width bound lets any digit come; the other byte alignments
-        # make a slot one bit (or bits(L) bits) narrower than the bound a
-        # whole byte narrower.
+        # digit of the product is exactly L (2^m_a - 1)(2^m_b - 1), the
+        # largest digit such operands can give, and it has m_a + m_b + j
+        # bits.  `spare` sets that bit count modulo 8, so the digit ends at
+        # every position relative to a byte boundary.
         length = (1 << length_bits) - 1
         bits_b = (spare - bits_a - length_bits - 1) % 8
         bits_b += 8 if bits_b < 3 else 0
@@ -360,6 +357,39 @@ class TestSeriesArithmeticOracle:
         middle = product[length - 1][1]
         assert middle == signs[0] * signs[1] * length * ((1 << bits_a) - 1) * ((1 << bits_b) - 1)
         assert abs(middle).numerator.bit_length() == bits_a + bits_b + length_bits
+
+
+@st.composite
+def long_series_pairs(draw):
+    """(r, cutoff, a, b) with dense operands of 32-130 terms, ram_den 1-3
+    and a cutoff up to 90: the lengths of a series-core run with every
+    cutoff tripled, which ``series_pairs`` (runs of at most 31 terms, cutoff
+    at most 10) never reaches."""
+    r = draw(st.integers(1, 3))
+    cutoff = draw(st.fractions(min_value=Fraction(11), max_value=90, max_denominator=7))
+    top = math.ceil(cutoff * r) - 1
+    operands = []
+    for _ in range(2):
+        length = draw(st.integers(32, 130))
+        start = draw(st.integers(-8 * r - length, top + 1 - length))
+        operands.append({k: draw(COEFFS) for k in range(start, start + length)})
+    return r, cutoff, *operands
+
+
+@given(case=long_series_pairs())
+@settings(max_examples=30)
+def test_long_dense_products(case):
+    """Products of long dense operands against the sympy oracle, both ways
+    round: the kernel runs over the shorter operand."""
+    r, cutoff, a, b = case
+    x, y = _series(r, cutoff, a), _series(r, cutoff, b)
+    (pa, sa), (pb, sb) = _sympy_poly(a), _sympy_poly(b)
+    if Fraction(sa + sb, r) >= cutoff:
+        with pytest.raises(PrecisionExhausted):
+            x * y
+        return
+    assert (x * y).terms == _oracle_terms(pa * pb, sa + sb, r, cutoff)
+    assert x * y == y * x
 
 
 def _unit(terms: dict[int, Fraction], top: int, lead=None) -> dict[int, Fraction]:
