@@ -33,6 +33,17 @@ radius q around l.  Every earlier index in K lies in that ball, so its
 distance to a is exactly q, and every earlier index outside K is farther,
 so max(table[a][:a]) = q and D(pool[a], q) = K.
 
+The closure of the seeds, the base point and the joins, needs no count of
+steps.  f maps a preimage disk onto the disk it was pulled back from, so every
+disk found is a chain of preimages of a forward image of a seed.  A seed has
+finitely many forward images: each disk holds an escaping orbit value, so some
+image contains the base disk or lies outside it, and from there each step takes
+the exponent q to d*q, or to q + (d - 1)*v(w) with v(w) < beta, until q is below
+the top exponent, the least v(w) (only the base point is fixed, when beta = 0).
+A chain of k preimages of a disk X holds an orbit value whose k-th image lies
+in X, and an escaping orbit enters X only finitely often.  So depth acts only
+through fwd_depth and the level filter of the one pass below.
+
 Over PAdic the table and the ray maps are integer kernels: the table reads
 each pool value's numerator and denominator once and runs no gcd
 (``_valuation_table``), and each ray map comes from integer Taylor data
@@ -110,12 +121,11 @@ class BoundaryMark:
 
 
 class CoreTree:
-    def __init__(self, f, rho, depth, fwd_depth, vertices, edges,
-                 dynamics, boundary, warnings, orbit):
+    def __init__(self, f, rho, depth, vertices, edges, dynamics, boundary, warnings, orbit):
         self.f = f
         self.rho = rho  # Fraction or None (= untrimmed)
         self.depth = depth
-        self.fwd_depth = fwd_depth
+        self.fwd_depth = max(2, depth)  # iterates materialized past each first exit
         self.vertices: tuple[CoreVertex, ...] = vertices
         self.edges: tuple[CoreEdge, ...] = edges
         self.dynamics: tuple[int | None, ...] = dynamics  # image vertex of each vertex
@@ -185,10 +195,12 @@ def check_depth(depth) -> None:
 def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                depth: int = DEFAULT_DEPTH) -> CoreTree:
     """Construct the truncated tree; rho = None means untrimmed.  A rho that
-    is not None, an int or a Fraction, or a depth that is not an int >= 0,
-    raises TypeError or ValueError before any orbit work."""
+    is not None, an int or a Fraction, or not positive, or a depth that is not
+    an int >= 0, raises TypeError or ValueError before any orbit work."""
     check_rho(rho)
     check_depth(depth)
+    if rho is not None and rho <= 0:
+        raise ValueError("rho must be positive")
     base = f.base_radius_exp
     zero = f.backend.zero
     warnings: list[str] = []
@@ -205,7 +217,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     if not exits:
         boundary = (BoundaryMark("julia_base", None, "base point bounds the tree from below"),
                     BoundaryMark("to_infinity", None, "open axis toward infinity"))
-        return CoreTree(f, rho, depth, max(2, depth), (), (), (), boundary, tuple(warnings), {})
+        return CoreTree(f, rho, depth, (), (), (), boundary, tuple(warnings), {})
 
     fwd = max(2, depth)
     orbit: dict[tuple[int, int], Scalar] = {
@@ -240,12 +252,11 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     top_exp = min(table[s][0] for s in slots.values() if s != 0)
 
     # the disks on the tree -> (center, orbit keys inside, sorted), in the
-    # order they were found; each one is also queued once for the closure,
-    # with its count of steps below the base
+    # order they were found; each one is also queued once for the closure
     disks: dict[DiskKey, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    pending: list[tuple[DiskKey, int]] = []
+    pending: list[DiskKey] = []
 
-    def disk(a: int, q: Rat, counter: int) -> DiskKey:
+    def disk(a: int, q: Rat) -> DiskKey:
         """The key of D(pool[a], q).  A new disk is recorded and queued when
         it is on the tree: q is at least the top exponent, and the disk either
         contains the base disk or an orbit value whose ray is not trimmed at q."""
@@ -260,16 +271,15 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             if not labels:
                 raise AssertionError("vertex without an orbit witness")
             disks[key] = (a, labels)
-            pending.append((key, counter))
+            pending.append(key)
         return key
 
     # the base point plus every join of the pool
-    disk(0, base, 0)
+    disk(0, base)
     for least, q in _joins(table):
-        disk(least, q, 0)
+        disk(least, q)
 
-    # closure under the exact ray dynamics, forward and backward; backward
-    # steps inside the base disk are counted against `depth`.  The forward
+    # closure under the exact ray dynamics, forward and backward.  The forward
     # step goes along the first label with a materialized successor, and
     # its image disk is the vertex's recorded image.
     images: dict[DiskKey, DiskKey | None] = {}
@@ -278,7 +288,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         guard += 1
         if guard > 100_000:
             raise AssertionError("tree closure failed to stabilize")
-        key, counter = pending.pop()
+        key = pending.pop()
         q, labels = key[0], disks[key][1]
         images[key] = None
         for i, n in labels:
@@ -286,17 +296,12 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
             if succ is not None:
                 q_img = segs[(i, n)].image_exp(q)
                 if q_img >= top_exp:
-                    images[key] = disk(succ, q_img, 0)
+                    images[key] = disk(succ, q_img)
                 break
         # preimages on every materialized ray
         for j, n in labels:
             if n > 0:
-                s = slots[(j, n - 1)]
-                q_pre = segs[(j, n - 1)].invert(q)
-                below_base = min(table[s][0], q_pre) >= base
-                new_counter = counter + (1 if below_base else 0)
-                if new_counter <= depth + 1:
-                    disk(s, q_pre, new_counter)
+                disk(slots[(j, n - 1)], segs[(j, n - 1)].invert(q))
 
     # one pass in (exponent, first label) order: a disk's parent is the last of
     # the disks before it, of smaller exponent, that contains it
@@ -344,7 +349,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
     if depth_truncated:
         warnings.append(f"vertices beyond level {depth} were pruned")
 
-    return CoreTree(f, rho, depth, fwd, tuple(vertices), tuple(edges), tuple(dynamics),
+    return CoreTree(f, rho, depth, tuple(vertices), tuple(edges), tuple(dynamics),
                     tuple(boundary), tuple(warnings), orbit)
 
 

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from tamedyn import escape
 from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
-from tamedyn.core import _joins, _valuation_table, build_core
+from tamedyn.core import CoreEdge, _joins, _valuation_table, build_core
 from tamedyn.escape import Escaping, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic, SeriesT
+from test_golden import baseline_cubic5
 
 AT_MOST = (Comparison.LESS, Comparison.EQUAL)
 
@@ -230,14 +231,29 @@ def test_dynamics_maps_ancestors_to_ancestors(tree):
             assert compare(tree.vertices[dv].point, tree.vertices[du].point) in AT_MOST
 
 
+@settings(max_examples=15)
+@given(tree=st.one_of(TREES, LATE_TREES))
+def test_depth_acts_only_as_a_level_filter(tree):
+    """At depths 0 and 1 the tree is the depth-2 tree's vertices of level at
+    most the depth, with edges and dynamics renumbered: fwd_depth is 2 at all
+    three, so the closure is the same and only the level filter differs."""
+    full = _tree(tree.f, tree.rho, 2)
+    for depth in (0, 1):
+        cut = _tree(tree.f, tree.rho, depth)
+        assert cut.fwd_depth == full.fwd_depth == 2
+        kept = [vi for vi, v in enumerate(full.vertices) if v.level <= depth]
+        number = {vi: k for k, vi in enumerate(kept)}
+        assert cut.vertices == tuple(full.vertices[vi] for vi in kept)
+        assert cut.edges == tuple(CoreEdge(number[e.lower], number[e.upper], e.degree, e.length)
+                                  for e in full.edges if e.lower in number)
+        assert cut.dynamics == tuple(None if full.dynamics[vi] is None
+                                     else number[full.dynamics[vi]] for vi in kept)
+
+
 def test_no_taylor_data_at_the_last_orbit_value(monkeypatch):
     """The last materialized value of each escaping orbit has no successor,
-    so the tree never reads its ray map (cubic over PAdic(5), marks +-1/5,
-    b = 1/25: both marks escape)."""
-    backend = PAdic(5)
-    f = MarkedPolynomial.from_critical_data(
-        [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
-        backend.scalar(Fraction(1, 25)))
+    so the tree never reads its ray map (both marks of the cubic escape)."""
+    f = baseline_cubic5()
     expanded = []
     original = MarkedPolynomial.segment_dynamics
     monkeypatch.setattr(MarkedPolynomial, "segment_dynamics",
@@ -251,11 +267,17 @@ def test_no_taylor_data_at_the_last_orbit_value(monkeypatch):
 
 @pytest.mark.parametrize("rho", [0.5, 2.0, True, False])
 def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
-    backend = PAdic(5)
-    f = MarkedPolynomial.from_critical_data(
-        [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
-        backend.scalar(Fraction(1, 25)))
+    f = baseline_cubic5()
     with pytest.raises(TypeError, match="rho must be None, an int or a Fraction"):
+        build_core(f, rho=rho)
+    assert not f._records and not f._orbits
+
+
+@pytest.mark.parametrize("rho", [0, -1, Fraction(-10)])
+def test_nonpositive_rho_is_refused_before_any_orbit_work(rho):
+    # unchecked, rho = -10 gave the rho = 1 tree
+    f = baseline_cubic5()
+    with pytest.raises(ValueError, match="rho must be positive"):
         build_core(f, rho=rho)
     assert not f._records and not f._orbits
 
@@ -263,10 +285,7 @@ def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
 @pytest.mark.parametrize("depth, error", [(1.5, TypeError), (True, TypeError), (-1, ValueError)])
 def test_invalid_depth_is_refused_before_any_orbit_work(depth, error):
     # unchecked, a float depth reaches the export as a JSON float
-    backend = PAdic(5)
-    f = MarkedPolynomial.from_critical_data(
-        [(backend.scalar(Fraction(1, 5)), 2), (backend.scalar(Fraction(-1, 5)), 2)],
-        backend.scalar(Fraction(1, 25)))
+    f = baseline_cubic5()
     with pytest.raises(error, match="depth must be"):
         build_core(f, depth=depth)
     assert not f._records and not f._orbits

@@ -49,6 +49,20 @@ def baseline_cubic5():
     return _poly(5, ["1/5", "-1/5"], "1/25")
 
 
+def late_cubic7_k8():
+    """Cubic over PAdic(7): marks +-1/7 of multiplicity 2, b = 2c^3 - 2c + 7^8 at c = 1/7."""
+    return _poly(7, ["1/7", "-1/7"], "1977326647/343")
+
+
+def late_series60_k10():
+    """Cubic over SeriesT(60): marks +-t^-1 of multiplicity 2, b = 2t^-3 - 2t^-1 + t^10."""
+    return polynomial_from_json({
+        "backend": {"kind": "series", "precision": "60", "ram_den": 1},
+        "marks": [{"c": [[-1, c]], "mult": 2} for c in ("1", "-1")],
+        "b": [[-3, "2"], [-1, "-2"], [10, "1"]],
+    })
+
+
 def _core_text(f, depth):
     return export_core(build_core(f, depth=depth))
 
@@ -83,6 +97,11 @@ CASES = {
     "core-series30-cubic-d2.json": lambda: _core_text(_series_cubic("30", 1, "-1", "-4"), 2),
     # half-integral exponents: SeriesT(10, ram_den=2), marks +-t^(-1/2), b = t^-2
     "core-series10-r2-cubic-d2.json": lambda: _core_text(_series_cubic("10", 2, "-1/2", "-2"), 2),
+    # late first exits: b = 2c^3 - 2c + pi^k puts f(c) pi^k-close to the repelling
+    # fixed point -2c, so mark 0 first exits at step 6 (PAdic) and 7 (SeriesT), and
+    # the closure finds disks below the depth that the level filter drops
+    "core-late-cubic7-k8-d3.json": lambda: _core_text(late_cubic7_k8(), 3),
+    "core-late-series60-k10-d3.json": lambda: _core_text(late_series60_k10(), 3),
     # orbits that stay in the unit disk until the height guard trips: the
     # base exponent 0 certifies the whole disk
     "classify-quad3-guard.json": lambda: _classification_text(_poly(3, ["0"], "-1/2")),

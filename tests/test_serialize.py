@@ -23,7 +23,7 @@ from tamedyn.serialize import (
 )
 from tamedyn.valued_field import PAdic, SeriesT, Val
 
-from test_core import SERIES_TREES, TREES
+from test_core import LATE_TREES, SERIES_TREES, TREES
 
 Q5 = PAdic(5)
 QT = SeriesT(precision=8)
@@ -366,6 +366,12 @@ def _assert_export_is_the_json_text(tree):
 @settings(max_examples=80)
 @given(tree=st.one_of(TREES, SERIES_TREES))
 def test_export_of_drawn_trees_is_the_json_text(tree):
+    _assert_export_is_the_json_text(tree)
+
+
+@settings(max_examples=15)
+@given(tree=LATE_TREES)
+def test_export_of_late_exit_trees_is_the_json_text(tree):
     _assert_export_is_the_json_text(tree)
 
 

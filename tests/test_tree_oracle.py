@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from tamedyn import escape
 from tamedyn.core import build_core, export_core
 from test_core import LATE_TREES, SERIES_TREES, TREES
-from test_golden import GOLDEN, _poly, _series_cubic, baseline_cubic5
+from test_golden import (GOLDEN, _poly, _series_cubic, baseline_cubic5, late_cubic7_k8,
+                         late_series60_k10)
 from tree_oracle import oracle_tree
 
 
@@ -67,6 +68,8 @@ GOLDEN_TREES = {
     "core-quartic7-d3.json": (lambda: _poly(7, ["2/7", "-5/7", "3/7"], "-3/49"), 3),
     "core-series30-cubic-d2.json": (lambda: _series_cubic("30", 1, "-1", "-4"), 2),
     "core-series10-r2-cubic-d2.json": (lambda: _series_cubic("10", 2, "-1/2", "-2"), 2),
+    "core-late-cubic7-k8-d3.json": (late_cubic7_k8, 3),
+    "core-late-series60-k10-d3.json": (late_series60_k10, 3),
 }
 
 

@@ -9,13 +9,11 @@ from the Newton polygon of ``taylor_at`` at the ray's orbit value.
 
 The tree is the base point and every pairwise join of the pool {0, orbit
 values, marks}, closed under forward images (along rays with a materialized
-successor) and preimages along every materialized ray.  A preimage inside
-the base disk counts one step against the depth, and a disk keeps the least
-count it is reached with.  A disk is on the tree when its exponent is at
-least the least valuation of a nonzero orbit value and it contains the base
-disk or an orbit value whose ray is not cut at its exponent.  Parents and
-levels are read off containment, and the vertices of level above the depth
-are dropped.
+successor) and preimages along every materialized ray, with no count of
+steps.  A disk is on the tree when its exponent is at least the least
+valuation of a nonzero orbit value and it contains the base disk or an orbit
+value whose ray is not cut at its exponent.  Parents and levels are read off
+containment, and the vertices of level above the depth are dropped.
 
     oracle = oracle_tree(f, rho, depth)
 """
@@ -77,31 +75,28 @@ def oracle_tree(f, rho, depth) -> OracleTree:
                 cut[(i, n)] = (orbit[(i, n)].valuation() + rho if n >= m
                                else _pullback(f, orbit[(i, n)], cut[(i, n + 1)]))
 
-    found: list[list] = []  # [disk, witnesses, count]
+    found: list[tuple] = []  # (disk, witnesses)
     queue: list[int] = []
 
-    def add(disk: Disk, count: int) -> int | None:
+    def add(disk: Disk) -> int | None:
         """Index of the disk among those found, adding it when it is on the tree."""
         c, q = disk
-        for k, (other, _, other_count) in enumerate(found):
+        for k, (other, _) in enumerate(found):
             if other[1] == q and _inside(disk, other):
-                if count < other_count:
-                    found[k][2] = count
-                    queue.append(k)
                 return k
         witnesses = tuple(sorted(key for key, w in orbit.items() if (w - c).valuation() >= q))
         if q < top or not ((q <= base and c.valuation() >= q)
                            or any(cut.get(key, math.inf) > q for key in witnesses)):
             return None
         assert witnesses, "vertex without an orbit witness"
-        found.append([disk, witnesses, count])
+        found.append((disk, witnesses))
         queue.append(len(found) - 1)
         return len(found) - 1
 
-    add((zero, base), 0)
+    add((zero, base))
     for a, x in enumerate(pool):
         for y in pool[a + 1:]:
-            add((x, (x - y).valuation()), 0)
+            add((x, (x - y).valuation()))
 
     images: dict[int, Disk] = {}
     steps = 0
@@ -109,21 +104,18 @@ def oracle_tree(f, rho, depth) -> OracleTree:
         steps += 1
         assert steps < 100_000, "oracle closure failed to stabilize"
         k = queue.pop()
-        (c, q), witnesses, count = found[k]
+        (c, q), witnesses = found[k]
         if any(n < exits[i] + fwd for i, n in witnesses):
             image, _ = f.image_point(BerkPoint(c, q))
             if image.radius_exp.finite >= top:
                 images[k] = (image.center, image.radius_exp.finite)
-                add(images[k], 0)
+                add(images[k])
         for j, n in witnesses:
             if n > 0:
                 w = orbit[(j, n - 1)]
-                q_pre = _pullback(f, w, q)
-                below_base = min(w.valuation(), q_pre) >= base
-                if count + below_base <= depth + 1:
-                    add((w, q_pre), count + below_base)
+                add((w, _pullback(f, w, q)))
 
-    disks = [d for d, _, _ in found]
+    disks = [d for d, _ in found]
     base_disk = (zero, base)
 
     def level(x: Disk) -> int:
@@ -136,7 +128,7 @@ def oracle_tree(f, rho, depth) -> OracleTree:
     number = {k: vi for vi, k in enumerate(kept)}
     vertices, parents, degrees, dynamics = [], [], [], []
     for k in kept:
-        (c, q), witnesses, _ = found[k]
+        (c, q), witnesses = found[k]
         vertices.append((c, q, witnesses, levels[k]))
         ancestors = [u for u in kept if u != k and _inside(disks[k], disks[u])]
         parent = max(ancestors, key=lambda u: disks[u][1], default=None)
