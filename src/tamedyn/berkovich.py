@@ -59,8 +59,6 @@ class BerkPoint:
             return NotImplemented
         if self.backend != other.backend or self.radius_exp != other.radius_exp:
             return False
-        if self.radius_exp.is_infinite:
-            return self.center == other.center
         return Val((self.center - other.center).valuation()) >= self.radius_exp
 
     def __hash__(self):
@@ -80,11 +78,9 @@ def compare(x: BerkPoint, y: BerkPoint) -> Comparison:
     """
     if x.backend != y.backend:
         raise TypeError("mixed backends")
-    if x == y:
-        return Comparison.EQUAL
     centers = Val((x.center - y.center).valuation())
     if x.radius_exp >= y.radius_exp and centers >= y.radius_exp:
-        return Comparison.LESS
+        return Comparison.EQUAL if x.radius_exp == y.radius_exp else Comparison.LESS
     if y.radius_exp >= x.radius_exp and centers >= x.radius_exp:
         return Comparison.GREATER
     return Comparison.INCOMPARABLE

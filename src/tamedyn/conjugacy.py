@@ -30,7 +30,7 @@ conjugate by the coordinates at infinity alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from tamedyn.boettcher import RhoBound, phi_eval, rho_closeness
@@ -67,16 +67,7 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        def enc(c: ClauseResult) -> dict:
-            return {"status": c.status, "witness": c.witness}
-
-        return {
-            "isometry": enc(self.isometry),
-            "equivariance": enc(self.equivariance),
-            "local_translation": enc(self.local_translation),
-            "boettcher_at_infinity": enc(self.boettcher_at_infinity),
-            "overall": "Pass" if self.overall else "Fail",
-        }
+        return {**asdict(self), "overall": "Pass" if self.overall else "Fail"}
 
 
 @dataclass

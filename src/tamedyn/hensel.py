@@ -49,7 +49,7 @@ class LiftResult:
 
 
 def _check_gauss_fixed(coeffs: list[Scalar], name: str):
-    kmin = None
+    has_unit = False  # a unit coefficient of degree >= 1
     for k, c in enumerate(coeffs):
         v = c.valuation()
         if v < 0:
@@ -57,8 +57,8 @@ def _check_gauss_fixed(coeffs: list[Scalar], name: str):
                 f"{name} does not preserve the unit disk: v(coeff {k}) < 0", clause=1
             )
         if k >= 1 and v == 0:
-            kmin = k
-    if kmin is None:
+            has_unit = True
+    if not has_unit:
         raise HypothesisViolated(
             f"{name} does not fix the Gauss point: no unit coefficient of degree >= 1",
             clause=1,

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import PAdic, Rat, Scalar, coprime_fraction, int_valuation
+from tamedyn.valued_field import (PAdic, Rat, Scalar, coprime_fraction, int_valuation,
+                                  valuation_table)
 
 
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
@@ -201,9 +202,8 @@ def _check_tame(marks, backend):
     p = backend.residue_char
     if p == 0:
         return
-    for mi in marks:
-        # the disk of radius exponent q about mi holds the marks with v >= q
-        vals = [math.inf if m is mi else (m.point - mi.point).valuation() for m in marks]
+    # the disk of radius exponent q about mi holds the marks with v >= q
+    for mi, vals in zip(marks, valuation_table([m.point for m in marks])):
         for q in sorted(set(vals), reverse=True):
             deg = 1 + sum(m.multiplicity - 1 for m, v in zip(marks, vals) if v >= q)
             if deg % p == 0:

@@ -82,11 +82,11 @@ def _json_int(value) -> int:
 
 
 def val_str(v) -> str:
-    """An exponent as text: "inf" for math.inf, else the exact rational;
+    """An exponent as text: "inf" for math.inf, else the exact rational of any size;
     TypeError unless v is math.inf, an int (not a bool) or a Fraction."""
     if v == math.inf:
         return "inf"
-    return str(_as_fraction(v, "an exponent is an int, a Fraction or math.inf"))
+    return _rational_str(_as_fraction(v, "an exponent is an int, a Fraction or math.inf"))
 
 
 def backend_from_json(data: dict):

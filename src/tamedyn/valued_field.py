@@ -27,7 +27,9 @@ ones: ``rho_closeness`` skips a difference at or above its precision,
 ``phi_eval`` refuses a point with v(z) >= base, a Hensel lift returns once
 its residual reaches the target, and every tree exponent is finite.
 :class:`Val` wraps an exponent only as a ``BerkPoint``'s radius.
-``residue`` is the one reduction of a p-adic scalar mod p^K.
+``residue`` is the one reduction of a p-adic scalar mod p^K, and
+``valuation_table`` the one table of pairwise valuations v(x - y), over
+either backend: the core tree's vertices and the tameness check read it.
 """
 
 from __future__ import annotations
@@ -506,6 +508,19 @@ def _series_product(backend: SeriesT, a: tuple, b: tuple) -> Scalar:
             for j, y in enumerate(nb[:slots - i], i):
                 nums[j] += x * y
     return _series_scalar(backend, k0, nums, da * db)
+
+
+def valuation_table(values: list[Scalar]) -> list[list]:
+    """table[x][y] = v(values[x] - values[y]) for distinct values, math.inf
+    on the diagonal.  Where v(x) and v(y) differ the entry is their minimum
+    (the ultrametric inequality); where they tie, one Scalar subtraction."""
+    vals = [w.valuation() for w in values]
+    table = [[math.inf] * len(values) for _ in values]
+    for x, (a, va) in enumerate(zip(values, vals)):
+        for y in range(x):
+            vb = vals[y]
+            table[x][y] = table[y][x] = min(va, vb) if va != vb else (a - values[y]).valuation()
+    return table
 
 
 def residue(q: Fraction, m: int) -> int:

@@ -1,4 +1,7 @@
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +85,14 @@ def points(draw):
     return pt(draw(small_fractions), draw(exps))
 
 
+@st.composite
+def points_or_classical(draw):
+    """Points of few radii (classical ones among them) around centers that
+    often agree to a high power of 3."""
+    center = draw(st.sampled_from([0, 1, 3, 9, 27, Fraction(1, 3), Fraction(10, 3)]))
+    return pt(center, draw(st.sampled_from([-1, 0, 1, 2, math.inf])))
+
+
 class TestOrderJoinConsistency:
     @given(x=points(), y=points())
     @settings(max_examples=120)
@@ -92,6 +103,14 @@ class TestOrderJoinConsistency:
             assert j == y and x != y
         if j == y and x != y:
             assert rel is Comparison.LESS
+
+    @given(x=points_or_classical(), y=points_or_classical())
+    @settings(max_examples=200)
+    def test_compare_agrees_with_equality_and_is_antisymmetric(self, x, y):
+        rel, back = compare(x, y), compare(y, x)
+        assert (rel is Comparison.EQUAL) == (x == y) == (back is Comparison.EQUAL)
+        assert (rel is Comparison.LESS) == (back is Comparison.GREATER)
+        assert (rel is Comparison.GREATER) == (back is Comparison.LESS)
 
     @given(x=points(), y=points(), z=points())
     @settings(max_examples=120)

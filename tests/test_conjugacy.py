@@ -23,6 +23,7 @@ from tamedyn.errors import NotComparable, TamedynError, WellDefinednessFailure
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic
+from test_core import _p_adic_number
 
 
 def cubic5(c, b):
@@ -228,11 +229,6 @@ def _translation_with_children(src, tgt, fmap, translations):
                 return ClauseResult(
                     "fail", f"vertex {si}: witness {label} leaves its direction under the translation")
     return ClauseResult("pass")
-
-
-def _p_adic_number(p, unit, exp):
-    # unit * p^exp, with the unit prime to p
-    return Fraction(unit if unit % p else unit + 1) * Fraction(p) ** exp
 
 
 @st.composite

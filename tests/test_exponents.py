@@ -7,12 +7,13 @@ Each job of ``bench/corpus/*.json`` (only read, as in ``tests/test_corpus.py``)
 and each drawn tree of ``tests/test_core.py``, late first exits among them,
 runs under a trace that sees every tamedyn function return.  It checks
 - what the functions that make exponents return: ``Scalar.valuation`` (math.inf
-  for zero), every ray-map line of ``segment_dynamics`` and of
-  ``escaped_ray_map``, the vertex exponents, edge lengths and base exponent
-  of ``build_core``, ``rho_closeness``'s
-  ``rho_exp`` (math.inf when no difference shows), ``Bounded.diam_exp`` from
-  ``escape._classify``, and the valuations of a Hensel ``lift`` (math.inf only
-  for its certified and displacement valuations);
+  for zero), every off-diagonal entry of ``valuation_table`` (all finite),
+  every ray-map line of ``segment_dynamics`` and of ``escaped_ray_map``, the
+  vertex exponents, edge lengths and base exponent of ``build_core``,
+  ``rho_closeness``'s ``rho_exp`` (math.inf when no difference shows),
+  ``Bounded.diam_exp`` from ``escape._classify``, and the valuations of a
+  Hensel ``lift`` (math.inf only for its certified and displacement
+  valuations);
 - every local variable of every returning tamedyn frame: none is a float but
   math.inf, so an exponent that never leaves its function (an edge midpoint,
   say) is checked too.
@@ -78,6 +79,13 @@ def _record_exponents(rec):
         yield "diam_exp", rec.diam_exp, False
 
 
+def _table_exponents(table):
+    for x, row in enumerate(table):
+        for y, v in enumerate(row):
+            if y != x:
+                yield "pairwise valuation", v, False
+
+
 def _ray_map_exponents(seg):
     for k, v in seg.lines:
         yield "ray-map slope", k, False
@@ -87,6 +95,7 @@ def _ray_map_exponents(seg):
 # code object -> the (name, exponent, may be infinite) triples of its result
 RESULTS = {
     valued_field.Scalar.valuation.__code__: lambda v: [("valuation", v, True)],
+    valued_field.valuation_table.__code__: _table_exponents,
     MarkedPolynomial.segment_dynamics.__code__: _ray_map_exponents,
     polynomial.escaped_ray_map.__code__: _ray_map_exponents,
     build_core.__code__: _tree_exponents,

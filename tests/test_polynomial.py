@@ -13,7 +13,7 @@ from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic, SeriesT, Val, coprime_fraction
 
-from test_core import _series_cubic
+from test_golden import _series_cubic
 
 Q3 = PAdic(3)
 Q5 = PAdic(5)

@@ -40,6 +40,12 @@ def _tree_past_the_digit_limit():
     return build_core(_padic_polynomial(5, ["35/3", "-35/3"], "-13/25"), depth=6)
 
 
+def _tree_with_rho_past_the_digit_limit():
+    """A rho-trimmed tree whose rho, and so each cut, has more than 4,300 digits."""
+    return build_core(_padic_polynomial(5, ["1/5", "-1/5"], "1/625"),
+                      rho=Fraction(10 ** 4400 + 1, 3), depth=1)
+
+
 def _decimal_str(q: Fraction) -> str:
     # Decimal converts integers of any size, so it is an oracle for str()
     if q.denominator == 1:
@@ -108,6 +114,12 @@ class TestLongIntegers:
         assert max(len(v["center"]) for v in vertices) > 4300
         for v, exported in zip(tree.vertices, vertices):
             assert scalar_from_json(tree.f.backend, exported["center"]) == v.point.center
+
+    def test_rho_past_the_digit_limit(self):
+        tree = _tree_with_rho_past_the_digit_limit()
+        assert any(b.kind == "trimmed" for b in tree.boundary)
+        exported = json.loads(export_core(tree))
+        assert scalar_from_json(Q5, exported["rho"]).rational == tree.rho
 
 
 P5 = {"kind": "padic", "p": 5}
@@ -342,16 +354,16 @@ def _core_dict(tree) -> dict:
     json.dumps(indent=2, sort_keys=True) makes of it."""
     return {
         "schema": 1,
-        "rho": "inf" if tree.rho is None else str(tree.rho),
+        "rho": "inf" if tree.rho is None else val_str(tree.rho),
         "depth": tree.depth,
         "budget": escape.BUDGET,
         "fwd_depth": tree.fwd_depth,
-        "base_radius_exp": str(tree.f.base_radius_exp),
+        "base_radius_exp": val_str(tree.f.base_radius_exp),
         "vertices": [{"center": scalar_to_json(v.center), "radius_exp": val_str(v.exponent),
                       "level": v.level, "witnesses": [[i, n] for i, n in v.witnesses]}
                      for v in tree.vertices],
         "edges": [{"lower": e.lower, "upper": e.upper, "degree": e.degree,
-                   "length": str(e.length)} for e in tree.edges],
+                   "length": val_str(e.length)} for e in tree.edges],
         "dynamics": list(tree.dynamics),
         "boundary": [{"kind": b.kind, "vertex": b.vertex, "detail": b.detail}
                      for b in tree.boundary],
@@ -388,6 +400,8 @@ EXPORT_CASES = {
                         lambda t: "unresolved" in t.warnings[0] and t.vertices),
     "axis only": (lambda: build_core(_padic_polynomial(5, ["0"], "1"), depth=2),
                   lambda t: not t.vertices and not t.edges and not t.dynamics),
+    "rho past the digit limit": (_tree_with_rho_past_the_digit_limit,
+                                 lambda t: len(val_str(t.rho)) > 4300),
     "past the digit limit": (_tree_past_the_digit_limit,
                              lambda t: max(len(scalar_to_json(v.center))
                                            for v in t.vertices) > 4300),
