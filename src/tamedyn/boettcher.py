@@ -1,14 +1,21 @@
 """Pointwise evaluation of the coordinate conjugating f to z^d near infinity.
 
-phi(z) is computed as the convergent product
+phi is the limit z * (f^N(z) / z^(d^N))^(1/d^N) (Benedetto, Dynamics in One
+Non-Archimedean Variable, GSM 198), the telescoped form of the product
 
-    z * prod_{n >= 0} ( f^(n+1)(z) / f^n(z)^d )^(1/d^(n+1))
+    z * prod_{n >= 0} ( f^(n+1)(z) / f^n(z)^d )^(1/d^(n+1)),
 
-where every factor is a 1-unit rooted by the canonical branch (the root
-congruent to 1), which pins the normalization phi(z)/z -> 1.  With
+every root the 1-unit congruent to 1, which pins phi(z)/z -> 1.  With
 v(z) = v0 strictly below the base exponent, factor n is a 1-unit of
-valuation at least 2*(base - d^n*v0), so finitely many factors reach any
-requested precision; the count is chosen from that exact tail bound.
+valuation at least 2*(base - d^n*v0); N, the number of factors taken, is
+the least that reaches the requested precision by that exact tail bound.
+
+Over PAdic the roots are taken in the 1-units mod p^K, a group of order
+p^(K-1) prime to d, where roots are unique; the d^N-th power of the product
+of the first N factors is f^N(z)/z^(d^N), so that product is its one root.
+Over SeriesT the cutoff is not closed under products of negative valuation
+(ROADMAP item 1), so the product of N roots of neighbouring-iterate
+quotients stays until series scalars carry their precision.
 
 The closeness comparator evaluates both coordinates at each critical
 point's first-exit orbit value and reports the minimal valuation gap,
@@ -32,7 +39,7 @@ from tamedyn.errors import (
 )
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
-from tamedyn.valued_field import Scalar, SeriesT, _as_fraction, nth_root_unit
+from tamedyn.valued_field import PAdic, Scalar, SeriesT, _as_fraction, nth_root_unit
 
 
 def _check_precision(precision) -> Fraction:
@@ -44,7 +51,8 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision) -> Scalar:
     """phi(z) to the given absolute valuation precision, an int or a Fraction,
     computed once per polynomial, point and precision.
 
-    Requires |z| strictly outside the closed base disk.
+    Requires |z| strictly outside the closed base disk.  One root over PAdic;
+    the SeriesT product goes once series scalars carry precision (item 1).
     """
     precision = _check_precision(precision)
     if (z, precision) in f._phi:
@@ -60,16 +68,17 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision) -> Scalar:
             f"requested precision {precision} exceeds the series cutoff"
         )
     rel_target = precision - v0
-    phi = z
-    w = z
+    padic = isinstance(backend, PAdic)
+    phi = w = z
     n = 0
     while 2 * (base - d ** n * v0) < rel_target:
         fw = f(w)
-        u = fw / (w ** d)
-        root = nth_root_unit(u, d ** (n + 1), precision=rel_target)
-        phi = phi * root
+        if not padic:
+            phi = phi * nth_root_unit(fw / w ** d, d ** (n + 1), precision=rel_target)
         w = fw
         n += 1
+    if padic and n:
+        phi = z * nth_root_unit(w / z ** d ** n, d ** n, precision=rel_target)
     f._phi[z, precision] = phi
     return phi
 

@@ -42,7 +42,9 @@ the exponent q to d*q, or to q + (d - 1)*v(w) with v(w) < beta, until q is below
 the top exponent, the least v(w) (only the base point is fixed, when beta = 0).
 A chain of k preimages of a disk X holds an orbit value whose k-th image lies
 in X, and an escaping orbit enters X only finitely often.  So depth acts only
-through fwd_depth and the level filter of the one pass below.
+through fwd_depth and the level filter of the one pass below.  A disk is pulled
+back along one label per component of its preimage: a label whose predecessor
+lies in a preimage already found is skipped, as that preimage is its component.
 
 The table is ``valued_field.valuation_table``, one loop for both backends:
 an entry is min(v(x), v(y)) where the two valuations differ (89-93% of the
@@ -272,10 +274,13 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                 if q_img >= top_exp:
                     images[key] = disk(succ, q_img)
                 break
-        # preimages on every materialized ray
+        # preimages on every materialized ray, one per component of f^-1(D)
+        found: list[tuple[int, Rat]] = []  # (center slot, exponent) of each preimage
         for j, n in labels:
-            if n > 0:
-                disk(slots[(j, n - 1)], segs[(j, n - 1)].invert(q))
+            s = slots.get((j, n - 1))  # None at n = 0
+            if s is not None and not any(table[a][s] >= q_a for a, q_a in found):
+                found.append((s, segs[(j, n - 1)].invert(q)))
+                disk(*found[-1])
 
     # one pass in (exponent, first label) order: a disk's parent is the last of
     # the disks before it, of smaller exponent, that contains it

@@ -174,11 +174,10 @@ def _antiderivative(marks, b: Scalar) -> list[Scalar]:
         raise InvalidMarks("the constant term and the marks are over different backends")
     zero, one = backend.zero, backend.one
     weighted = zero
-    chart = zero
     for m in marks:
         weighted = weighted + m.point.scale(m.multiplicity - 1)
-        chart = chart + m.point.scale(m.multiplicity)
     if not weighted.is_zero:
+        chart = sum((m.point.scale(m.multiplicity) for m in marks), zero)
         raise InvalidMarks(
             "marks do not center the antiderivative: "
             f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"

@@ -84,6 +84,8 @@ def _json_int(value) -> int:
 def val_str(v) -> str:
     """An exponent as text: "inf" for math.inf, else the exact rational of any size;
     TypeError unless v is math.inf, an int (not a bool) or a Fraction."""
+    if type(v) is int:
+        return _int_str(v)
     if v == math.inf:
         return "inf"
     return _rational_str(_as_fraction(v, "an exponent is an int, a Fraction or math.inf"))

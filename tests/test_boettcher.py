@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamedyn import valued_field
 from tamedyn.boettcher import phi_eval, rho_closeness
 from tamedyn.errors import NotComparable, NotOutsideBaseDisk, NotTame
 from tamedyn.polynomial import MarkedPolynomial
@@ -101,14 +102,14 @@ SMALL_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 
 
 @st.composite
 def escaping_points(draw):
-    """(f, w): z^2 + b over PAdic(3|5|7), or a cubic over PAdic(5|7) with
-    marks +-c, and a point w = u p^k strictly outside its base disk."""
-    degree = draw(st.sampled_from([2, 3]))
-    p = draw(st.sampled_from([3, 5, 7] if degree == 2 else [5, 7]))
+    """(f, w): z^d + b over PAdic(3|5|7|11) for d = 2 or 4, or a cubic over
+    PAdic(5|7) with marks +-c, and a point w = u p^k strictly outside its base disk."""
+    degree = draw(st.sampled_from([2, 3, 4]))
+    p = draw(st.sampled_from([5, 7] if degree == 3 else [3, 5, 7, 11]))
     backend = PAdic(p)
     c = draw(SMALL_RATIONALS.filter(bool)) if degree == 3 else F(0)
-    marks = [(backend.scalar(0), 2)] if degree == 2 else [(backend.scalar(c), 2),
-                                                          (backend.scalar(-c), 2)]
+    marks = [(backend.scalar(0), degree)] if degree != 3 else [(backend.scalar(c), 2),
+                                                               (backend.scalar(-c), 2)]
     f = MarkedPolynomial.from_critical_data(marks, backend.scalar(draw(SMALL_RATIONALS)))
     k = math.ceil(f.base_radius_exp) - draw(st.integers(1, 3))
     u = draw(st.integers(-50, 50).filter(lambda n: n % p))
@@ -124,6 +125,46 @@ def test_phi_eval_is_certified_at_its_precision(case, precision):
     coarse = phi_eval(f, w, precision)
     fine = phi_eval(f, w, 2 * precision + 5)
     assert (coarse - fine).valuation() >= precision
+
+
+def product_phi(f, z, precision):
+    """phi(z) as the Böttcher product of the module docstring, one root per
+    factor f^(n+1)(z) / f^n(z)^d over the same factor count: the oracle of
+    the one-root form that phi_eval takes over PAdic."""
+    d, base, v0 = f.degree, f.base_radius_exp, z.valuation()
+    rel_target = precision - v0
+    phi = w = z
+    n = 0
+    while 2 * (base - d ** n * v0) < rel_target:
+        fw = f(w)
+        phi = phi * nth_root_unit(fw / w ** d, d ** (n + 1), precision=rel_target)
+        w, n = fw, n + 1
+    return phi
+
+
+@settings(max_examples=80)
+@given(case=escaping_points(), precision=st.sampled_from([7, 30, F(61, 2)]))
+def test_one_root_equals_the_product_of_roots(case, precision):
+    # over PAdic the factors telescope: the product of N roots and the one
+    # root of f^N(z)/z^(d^N) agree modulo p^ceil(rel_target)
+    f, w = case
+    assert (phi_eval(f, w, precision) - product_phi(f, w, precision)).valuation() >= precision
+
+
+@pytest.mark.parametrize("z, precision, factors", [(F(1, 3), 25, 4), (F(2, 9), 25, 3)])
+def test_padic_coordinate_takes_one_root(monkeypatch, z, precision, factors):
+    calls = []
+    root = valued_field._padic_nth_root_unit
+    monkeypatch.setattr(valued_field, "_padic_nth_root_unit",
+                        lambda *args: calls.append(args[1]) or root(*args))
+    f = quad(F(-1, 3))
+    z = Q3.scalar(z)
+    product_phi(f, z, precision)
+    assert calls == [2 ** (n + 1) for n in range(factors)]  # the oracle: one root per factor
+    calls.clear()
+    phi_eval(f, z, precision)
+    phi_eval(f, z, precision)  # kept on the polynomial
+    assert calls == [2 ** factors]
 
 
 class TestRhoCloseness:

@@ -1,5 +1,5 @@
 import math
-import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,7 +58,8 @@ class TestFromCriticalData:
             )
 
     def test_rejects_uncentered(self):
-        with pytest.raises(InvalidMarks):
+        # sum (d_i - 1) c_i = 2, and the message names the chart sum d_i c_i = 3
+        with pytest.raises(InvalidMarks, match=re.escape(f"chart sum d_i c_i = {Q5.scalar(3)!r}")):
             MarkedPolynomial.from_critical_data([(Q5.scalar(1), 3)], Q5.scalar(0))
 
     def test_mark_roundtrip(self):

@@ -54,7 +54,8 @@ def _decimal_str(q: Fraction) -> str:
 
 
 @pytest.mark.parametrize("v, text", [(3, "3"), (-2, "-2"), (Fraction(-7, 2), "-7/2"),
-                                     (Fraction(4), "4"), (math.inf, "inf")])
+                                     (Fraction(4), "4"), (math.inf, "inf"), (0, "0"),
+                                     (-10 ** 700, "-1" + "0" * 700)])
 def test_val_str_writes_an_exponent(v, text):
     assert val_str(v) == text
 
