@@ -6,7 +6,10 @@ the disk.  The map sends the source vertex of exponent q around
 f^n(c_i(f)) to the target vertex of exponent q around g^n(c_i(g)).  It is
 well defined exactly when that vertex exists and has the same witnesses,
 and it is then a bijection of keys; any violation is returned as a
-minimal witness (the two labels, their exponent, the level).
+minimal witness (the two labels, their exponent, the level).  The
+bijection is the identity on positions: ``build_core`` lists vertices in
+strictly increasing (exponent, first witness) order, which a key fixes, so
+the clauses read the two trees position by position.
 
 ``verify_extendable`` takes ``build_conjugacy``'s output and checks four
 clauses on the truncations.  (i) Isometry: one disk contains another
@@ -72,6 +75,7 @@ class VerificationReport:
 
 @dataclass
 class ConjugacyMap:
+    """The two trees; ``vertex_map`` is {i: i}, as trees with equal keys list them alike."""
     source: CoreTree
     target: CoreTree
     vertex_map: dict[int, int]
@@ -101,19 +105,16 @@ def build_conjugacy(f: MarkedPolynomial, g: MarkedPolynomial, rho: Fraction | No
     source = build_core(f, rho=rho, depth=depth)
     target = build_core(g, rho=rho, depth=depth)
 
-    vertex_map: dict[int, int] = {}
+    keys = {(tv.exponent, tv.witnesses) for tv in target.vertices}
     for si, sv in enumerate(source.vertices):
-        ti = target.vertex_at(sv.exponent, sv.witnesses[0])
-        if ti is None or target.vertices[ti].witnesses != sv.witnesses:
-            raise _transport_failure(si, sv, ti, target)
-        vertex_map[si] = ti
-    if len(vertex_map) != len(target.vertices):
+        if (sv.exponent, sv.witnesses) not in keys:
+            raise _transport_failure(si, sv, target)
+    if len(source.vertices) != len(target.vertices):
         raise WellDefinednessFailure("target tree has vertices with no source counterpart")
-    return ConjugacyMap(source, target, vertex_map, bound)
+    return ConjugacyMap(source, target, {i: i for i in range(len(source.vertices))}, bound)
 
 
-def _transport_failure(si: int, sv: CoreVertex, ti: int | None,
-                       target: CoreTree) -> WellDefinednessFailure:
+def _transport_failure(si: int, sv: CoreVertex, target: CoreTree) -> WellDefinednessFailure:
     """Why source vertex si has no target vertex with its key: a label leaves
     the target disk of the first, there is no such disk, or they differ."""
     q, first = sv.exponent, sv.witnesses[0]
@@ -125,13 +126,14 @@ def _transport_failure(si: int, sv: CoreVertex, ti: int | None,
                 f"exponent {q} but separate on the target",
                 witness_a=first, witness_b=other, level=sv.level,
             )
-    if ti is None:
+    tv = next((tv for tv in target.vertices if tv.exponent == q and first in tv.witnesses), None)
+    if tv is None:
         return WellDefinednessFailure(
             f"image of source vertex {si} (label {first}, exponent {q}) "
             "is not a target vertex",
             witness_a=first, level=sv.level,
         )
-    pick = min(set(target.vertices[ti].witnesses) ^ set(sv.witnesses))
+    pick = min(set(tv.witnesses) ^ set(sv.witnesses))
     return WellDefinednessFailure(
         f"label {pick} separates on one side only at exponent {q}",
         witness_a=first, witness_b=pick, level=sv.level,
@@ -142,23 +144,20 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
     """Check the four extendability clauses on the truncations of a map
     made by ``build_conjugacy``."""
     src, tgt = h.source, h.target
-    fmap = h.vertex_map
 
     # (i) each source edge is a target edge of the same length (module
-    # docstring), so only the local degrees can differ
-    tgt_degree = {e.lower: e.degree for e in tgt.edges}
+    # docstring), at the same position, so only the local degrees can differ
     isometry = _first_failure(
-        f"edge {e.lower}->{e.upper}: degree {e.degree} vs {tgt_degree[fmap[e.lower]]}"
-        for e in src.edges if tgt_degree[fmap[e.lower]] != e.degree)
+        f"edge {e.lower}->{e.upper}: degree {e.degree} vs {te.degree}"
+        for e, te in zip(src.edges, tgt.edges, strict=True) if te.degree != e.degree)
 
     # (ii) equivariance of the recorded dynamics
     def equivariance_failures():
-        for si, ti in fmap.items():
-            ds, dt = src.dynamics[si], tgt.dynamics[ti]
+        for si, (ds, dt) in enumerate(zip(src.dynamics, tgt.dynamics, strict=True)):
             if (ds is None) != (dt is None):
                 yield f"vertex {si}: dynamics truncation mismatch"
-            elif ds is not None and fmap.get(ds) != dt:
-                yield f"vertex {si}: map(f(v)) = {fmap.get(ds)} but g(map(v)) = {dt}"
+            elif ds != dt:
+                yield f"vertex {si}: map(f(v)) = {ds} but g(map(v)) = {dt}"
     equivariance = _first_failure(equivariance_failures())
 
     # (iii) locally a translation: every witness of the vertex is moved
@@ -179,14 +178,14 @@ def verify_extendable(h: ConjugacyMap) -> VerificationReport:
                            " under the translation")
     local = _first_failure(translation_failures())
 
-    # (iv) coordinate agreement near infinity at the two outermost axis
-    # vertices, at a witness whose orbit value escaped the base disk, so that
-    # the coordinate is defined at it; it passes when there is none, as
-    # clauses (i)-(iii) pass on empty trees
+    # (iv) coordinate agreement near infinity at the first two axis vertices
+    # (one per exponent, so the outermost), at a witness whose orbit value
+    # escaped the base disk, so that the coordinate is defined at it; it passes
+    # when there is none, as clauses (i)-(iii) pass on empty trees
     def boettcher_failures():
         base = src.f.base_radius_exp
-        axis = sorted((sv.exponent, si) for si, sv in enumerate(src.vertices)
-                      if sv.level == 0 and sv.center.valuation() >= sv.exponent)
+        axis = [(sv.exponent, si) for si, sv in enumerate(src.vertices)
+                if sv.level == 0 and sv.center.valuation() >= sv.exponent]
         for q, si in axis[:2]:
             label = next((cand for cand in src.vertices[si].witnesses
                           if src.orbit_value(*cand).valuation() < base), None)

@@ -20,10 +20,8 @@ v(a - pool[b]) >= q), reading one row of a table of pairwise valuations.
 A vertex holds the disk's first center, its exponent q (a finite int or
 Fraction, like every exponent here; ``CoreVertex.point`` is the same disk
 as a ``BerkPoint``, for the oracles) and its orbit witnesses (mark index,
-iterate), the orbit values inside.  Two disks of one radius are equal
-exactly when they share a witness, so a finished tree looks a vertex up
-by its radius exponent and any one of its labels.  The image of each
-vertex is recorded by the closure's forward step.
+iterate), the orbit values inside.  The image of each vertex is recorded
+by the closure's forward step.
 
 The joins come from the pool's dendrogram (``_joins``): for each pool index
 a >= 1, q = max(table[a][:a]) and the join D(pool[a], q), centered at its
@@ -58,17 +56,19 @@ in the base disk; so no Taylor shift runs on a value past its first exit,
 whose height grows d-fold per step.
 
 One pass over the disks, in (radius exponent, first witness) order, gives
-each its parent, level, vertex and edge.  The parent is its closest strict
-ancestor, found with ``compare`` over ``BerkPoint`` views of the disks
-before it (the benchmark's traced run counts those calls; reading the
-table instead waits for its next change, see ROADMAP.md).  The level
-counts the vertices on the segment from the disk to the base point: 0
-outside the base disk, 1 at the base point, and one more than its parent's
-strictly inside.  A disk of level above the depth is skipped; ancestors
-have no higher level, so a kept disk's parent is kept, and vertex 0 is the
-root.  An edge's degree, the Riemann-Hurwitz count at its midpoint, is read
-off its lower vertex's row (the marks are in the pool);
-``MarkedPolynomial.local_degree_rh`` is the tests' oracle for it.
+each its parent, level, vertex and edge; the order is strict, as disks of
+one radius that share a witness are equal, and it is the vertices' order.
+The parent is its closest strict ancestor, found with ``compare`` over
+``BerkPoint`` views of the disks before it (the benchmark's traced run
+counts those calls; reading the table instead waits for its next change,
+see ROADMAP.md).  The level counts the vertices on the segment from the
+disk to the base point: 0 outside the base disk, 1 at the base point, and
+one more than its parent's strictly inside.  A disk of level above the
+depth is skipped; ancestors have no higher level, so a kept disk's parent
+is kept, and vertex 0 is the root.  An edge's degree, the Riemann-Hurwitz
+count at its midpoint, is read off its lower vertex's row (the marks are
+in the pool); ``MarkedPolynomial.local_degree_rh`` is the tests' oracle
+for it.
 
 ``export_core`` writes its text directly, one template per record, and the
 text is byte-identical to ``json.dumps`` with sorted keys and indent 2.
@@ -135,12 +135,6 @@ class CoreTree:
         self.boundary: tuple[BoundaryMark, ...] = boundary
         self.warnings: tuple[str, ...] = warnings
         self._orbit = orbit  # (mark, iterate) -> Scalar
-        self._index = {(v.exponent, label): vi
-                       for vi, v in enumerate(vertices) for label in v.witnesses}
-
-    def vertex_at(self, exponent: Rat, label: tuple[int, int]) -> int | None:
-        """Index of the vertex of this radius exponent around orbit value `label`."""
-        return self._index.get((exponent, label))
 
     def orbit_value(self, mark: int, iterate: int) -> Scalar:
         return self._orbit[(mark, iterate)]

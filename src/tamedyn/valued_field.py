@@ -438,6 +438,8 @@ class Scalar:
             raise TypeError("only integer powers")
         if n < 0:
             return (self.backend.one / self) ** (-n)
+        if self._rat is not None:  # Fraction ** n skips the gcds of repeated products
+            return Scalar(self.backend, rational=self._rat ** n)
         result = self.backend.one
         base = self
         e = n

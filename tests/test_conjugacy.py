@@ -2,6 +2,8 @@
 ways label transport can fail to be well defined, and the key map checked
 on drawn pairs against label-by-label transport."""
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -45,7 +47,7 @@ def test_self_and_translate_pass(depth, shift):
     h = build_conjugacy(cubic5(c, b), cubic5(c, b + shift), None, depth=depth)
     report = verify_extendable(h)
     assert report.overall, report.to_dict()
-    assert sorted(h.vertex_map) == sorted(h.vertex_map.values()) == list(range(len(h.source.vertices)))
+    assert h.vertex_map == {i: i for i in range(len(h.source.vertices))}
 
 
 @pytest.mark.parametrize("b_g", [-1, 0])
@@ -60,6 +62,40 @@ def test_maps_with_no_escaping_mark_pass(b_g):
     assert h.source.vertices == h.target.vertices == ()
     report = verify_extendable(h)
     assert report.overall and report.boettcher_at_infinity == ClauseResult("pass")
+
+
+def _with_target(h, **changes):
+    """h with a copy of its target tree in which the named attributes are replaced."""
+    target = copy.copy(h.target)
+    for name, value in changes.items():
+        setattr(target, name, value)
+    return dataclasses.replace(h, target=target)
+
+
+def test_isometry_fails_at_the_first_edge_whose_degree_differs():
+    # f against itself at depth 2: edges 1->0, 2->1, 3->2, each of degree 3
+    h = build_conjugacy(cubic5(*BASELINE), cubic5(*BASELINE), None, depth=2)
+    edges = list(h.target.edges)
+    edges[1] = dataclasses.replace(edges[1], degree=2)
+    report = verify_extendable(_with_target(h, edges=tuple(edges)))
+    assert report == VerificationReport(ClauseResult("fail", "edge 2->1: degree 3 vs 2"),
+                                        ClauseResult("pass"), ClauseResult("pass"),
+                                        ClauseResult("pass"))
+
+
+@pytest.mark.parametrize("vertex, image, witness", [
+    (2, 3, "vertex 2: map(f(v)) = 1 but g(map(v)) = 3"),
+    (3, None, "vertex 3: dynamics truncation mismatch"),
+    (0, 1, "vertex 0: dynamics truncation mismatch"),
+])
+def test_equivariance_fails_at_the_first_vertex_whose_image_differs(vertex, image, witness):
+    # f against itself at depth 2: dynamics (None, 0, 1, 2)
+    h = build_conjugacy(cubic5(*BASELINE), cubic5(*BASELINE), None, depth=2)
+    dynamics = list(h.target.dynamics)
+    dynamics[vertex] = image
+    report = verify_extendable(_with_target(h, dynamics=tuple(dynamics)))
+    assert report == VerificationReport(ClauseResult("pass"), ClauseResult("fail", witness),
+                                        ClauseResult("pass"), ClauseResult("pass"))
 
 
 def test_mark_moved_beyond_rho_is_not_comparable():
@@ -157,7 +193,7 @@ def test_one_coordinate_per_point(backend, monkeypatch):
 def _label_transport(f, g, rho, depth):
     """Label-by-label transport, kept as an oracle: every further witness of a
     source vertex is compared with its first one as a disk on the target,
-    and each target vertex may be hit once."""
+    the target vertex is found by disk equality, and each may be hit once."""
     if rho is not None and rho <= 0:
         raise NotComparable("rho must be positive")
     bound = rho_closeness(f, g, precision=PRECISION)
@@ -176,7 +212,7 @@ def _label_transport(f, g, rho, depth):
                     f"labels {first} and {other} coincide on the source at "
                     f"exponent {q} but separate on the target",
                     witness_a=first, witness_b=other, level=sv.level)
-        ti = target.vertex_at(q, first)
+        ti = next((ti for ti, tv in enumerate(target.vertices) if tv.point == t_point), None)
         if ti is None:
             raise WellDefinednessFailure(
                 f"image of source vertex {si} (label {first}, exponent {q}) "
@@ -302,6 +338,7 @@ def test_key_map_matches_label_transport(pair):
         return
     src, tgt, fmap, translations, bound = oracle
     assert (h.vertex_map, h.rho_bound) == (fmap, bound)
+    assert fmap == {i: i for i in range(len(src.vertices))}  # the trees list their keys alike
     report = verify_extendable(h)
     expected = VerificationReport(_isometry_by_edges(src, tgt, fmap), report.equivariance,
                                   _translation_with_children(src, tgt, fmap, translations),

@@ -2,10 +2,11 @@
 and of its edge degrees on SeriesT cubics too.
 
 Each tree is checked against brute-force searches over its own vertices
-with ``compare`` and ``BerkPoint ==``: levels, parents, vertex lookup,
-witnesses (every orbit value inside the disk), distinct vertices, and
-the paper's invariants (Riemann-Hurwitz degree = Taylor degree, edge images
-of length degree x length, dynamics maps ancestors to ancestors).
+with ``compare`` and ``BerkPoint ==``: levels, parents, image vertices,
+witnesses (every orbit value inside the disk), distinct vertices, their
+order, and the paper's invariants (Riemann-Hurwitz degree = Taylor
+degree, edge images of length degree x length, dynamics maps ancestors to
+ancestors).
 """
 
 import math
@@ -147,19 +148,29 @@ def test_edges_go_to_the_closest_strict_ancestor(tree):
 
 @settings(max_examples=40)
 @given(tree=TREES)
-def test_vertex_at_agrees_with_a_linear_search(tree):
-    labels = sorted({label for v in tree.vertices for label in v.witnesses})
-    radii = sorted({v.exponent for v in tree.vertices})
-    for q in radii:
-        for label in labels:
-            point = BerkPoint(tree.orbit_value(*label), q)
-            assert tree.vertex_at(q, label) == _linear_index(tree, point)
+def test_dynamics_is_the_image_point(tree):
     for vi, target in enumerate(tree.dynamics):
         if target is not None:
             image, _ = tree.f.image_point(tree.vertices[vi].point)
             assert _linear_index(tree, image) == target
-            assert any(tree.vertex_at(image.radius_exp.finite, label) == target
-                       for label in tree.vertices[target].witnesses)
+
+
+def _marks_of_degree_two(p, cs, b):
+    return MarkedPolynomial.from_critical_data(
+        [(PAdic(p).scalar(Fraction(c)), 2) for c in cs], PAdic(p).scalar(Fraction(b)))
+
+
+@settings(max_examples=40)
+@given(tree=st.one_of(TREES, SERIES_TREES, LATE_TREES))
+# two disks of one exponent whose labels interleave: ordered by last witness,
+# ((0, 1), (2, 1)) would come after ((1, 1),)
+@example(tree=_tree(_marks_of_degree_two(5, ["2/25", "6/25", "-8/25"], "8/5"), Fraction(7, 2), 4))
+@example(tree=_tree(_marks_of_degree_two(7, ["1/7", "-1/7"],
+                                         Fraction(2, 343) - Fraction(2, 7) + 7 ** 7), None, 1))
+def test_vertices_are_in_strict_exponent_then_first_witness_order(tree):
+    # conjugacy.build_conjugacy reads its key map off this order
+    keys = [(v.exponent, v.witnesses[0]) for v in tree.vertices]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @settings(max_examples=40)

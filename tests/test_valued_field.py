@@ -209,6 +209,39 @@ class TestFieldOps:
         assert (x ** -1).rational == F(3, 2)
         assert (x ** 0) == Q3.one
 
+    def test_zero_to_a_negative_power_and_non_int_exponents_raise(self):
+        with pytest.raises(DivisionByZero):
+            Q3.zero ** -2
+        for n in (1.0, F(1, 2)):
+            with pytest.raises(TypeError, match="only integer powers"):
+                Q3.scalar(2) ** n
+
+
+def _square_and_multiply(x, n):
+    """The power as repeated squarings and products, the way ``Scalar.__pow__``
+    takes it over SeriesT; kept as the oracle of its PAdic ``Fraction ** n``."""
+    if n < 0:
+        return _square_and_multiply(x.backend.one / x, -n)
+    result, base = x.backend.one, x
+    while n:
+        if n & 1:
+            result = result * base
+        base, n = base * base, n >> 1
+    return result
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       x=st.fractions(max_denominator=10 ** 12).map(lambda q: q * 10 ** 6),
+       n=st.integers(-40, 40))
+@example(p=3, x=F(0), n=0)
+@example(p=5, x=F(-1, 5), n=-3)
+def test_padic_power_matches_square_and_multiply(p, x, n):
+    assume(x != 0 or n >= 0)
+    power = PAdic(p).scalar(x) ** n
+    assert power == _square_and_multiply(PAdic(p).scalar(x), n)
+    assert type(power.rational) is Fraction
+
 
 class TestUltrametric:
     @given(
