@@ -20,9 +20,6 @@ quotients stays until series scalars carry their precision.
 The closeness comparator evaluates both coordinates at each critical
 point's first-exit orbit value and reports the minimal valuation gap,
 relative to the value's own modulus.
-
-Each value is kept on the polynomial (``MarkedPolynomial._phi``), so the
-conjugacy check's coordinate clause reads the comparator's values.
 """
 
 from __future__ import annotations
@@ -48,15 +45,12 @@ def _check_precision(precision) -> Fraction:
 
 
 def phi_eval(f: MarkedPolynomial, z: Scalar, precision) -> Scalar:
-    """phi(z) to the given absolute valuation precision, an int or a Fraction,
-    computed once per polynomial, point and precision.
+    """phi(z) to the given absolute valuation precision, an int or a Fraction.
 
     Requires |z| strictly outside the closed base disk.  One root over PAdic;
     the SeriesT product goes once series scalars carry precision (item 1).
     """
     precision = _check_precision(precision)
-    if (z, precision) in f._phi:
-        return f._phi[z, precision]
     backend = f.backend
     d = f.degree
     base = f.base_radius_exp
@@ -79,7 +73,6 @@ def phi_eval(f: MarkedPolynomial, z: Scalar, precision) -> Scalar:
         n += 1
     if padic and n:
         phi = z * nth_root_unit(w / z ** d ** n, d ** n, precision=rel_target)
-    f._phi[z, precision] = phi
     return phi
 
 

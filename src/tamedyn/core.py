@@ -67,8 +67,11 @@ one more than its parent's strictly inside.  A disk of level above the
 depth is skipped; ancestors have no higher level, so a kept disk's parent
 is kept, and vertex 0 is the root.  An edge's degree, the Riemann-Hurwitz
 count at its midpoint, is read off its lower vertex's row (the marks are
-in the pool); ``MarkedPolynomial.local_degree_rh`` is the tests' oracle
-for it.
+in the pool) at the lower exponent q: a mark in D(a, mid) but not in
+D(a, q) would make D(a, v(a - mark)) a join strictly between the edge's
+two ends, and that join is on the tree (it holds the lower disk, whose
+labels are not trimmed above q, or the base disk), so it would be a closer
+parent.  ``MarkedPolynomial.local_degree_rh`` is the tests' oracle for it.
 
 ``export_core`` writes its text directly, one template per record, and the
 text is byte-identical to ``json.dumps`` with sorted keys and indent 2.
@@ -294,8 +297,8 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
         vertex_of[key] = len(vertices)
         vertices.append(CoreVertex(pool[a], q, labels, level[key]))
         if u is not None:
-            mid = Fraction(q + u[0], 2)  # degree: 1 + sum (d_i - 1), marks in D(pool[a], mid)
-            degree = 1 + sum(k for s, k in mark_slots if table[a][s] >= mid)
+            # degree: 1 + sum (d_i - 1) over the marks in D(pool[a], q), as at the midpoint
+            degree = 1 + sum(k for s, k in mark_slots if table[a][s] >= q)
             edges.append(CoreEdge(vertex_of[key], vertex_of[u], degree, q - u[0]))
     if any(images[key] is not None and images[key] not in vertex_of for key in vertex_of):
         raise AssertionError("image of a vertex is missing from the tree")

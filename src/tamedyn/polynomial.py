@@ -223,7 +223,6 @@ class MarkedPolynomial:
         self.degree = len(coeffs) - 1
         self._records: dict = {}  # mark -> EscapeRecord, kept by escape.classify_critical
         self._orbits: dict = {}  # mark -> [c, f(c), f^2(c), ...], extended by orbit()
-        self._phi: dict = {}  # (z, precision) -> phi(z), kept by boettcher.phi_eval
         # exponent of the base radius: min(0, v(a_i)/(d-i)), i <= d-2, an int when integral
         base = Fraction(0)
         for i in range(self.degree - 1):

@@ -79,12 +79,21 @@ class TestPhiEval:
             MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(F(1, 2)))
 
     @pytest.mark.parametrize("precision", [0.1, 10.0, True, False])
-    def test_float_or_bool_precision_is_refused(self, precision):
-        # True ran at precision 1 and 0.1 at the binary fraction Fraction(0.1)
+    def test_float_or_bool_precision_is_refused(self, precision, monkeypatch):
+        # True ran at precision 1 and 0.1 at the binary fraction Fraction(0.1);
+        # no root and no evaluation of f runs before the TypeError
+        calls = []
+        root, call = valued_field._padic_nth_root_unit, MarkedPolynomial.__call__
+        monkeypatch.setattr(valued_field, "_padic_nth_root_unit",
+                            lambda *args: calls.append("root") or root(*args))
+        monkeypatch.setattr(MarkedPolynomial, "__call__",
+                            lambda *args: calls.append("f") or call(*args))
         f = quad(F(-1, 3))
         with pytest.raises(TypeError, match="precision must be an int or a Fraction"):
             phi_eval(f, Q3.scalar(F(1, 3)), precision)
-        assert not f._phi
+        assert calls == []
+        phi_eval(f, Q3.scalar(F(1, 3)), 10)
+        assert set(calls) == {"root", "f"}  # the spies see a valid call's work
 
     def test_series_backend(self):
         qt = SeriesT(precision=14)
@@ -163,7 +172,6 @@ def test_padic_coordinate_takes_one_root(monkeypatch, z, precision, factors):
     assert calls == [2 ** (n + 1) for n in range(factors)]  # the oracle: one root per factor
     calls.clear()
     phi_eval(f, z, precision)
-    phi_eval(f, z, precision)  # kept on the polynomial
     assert calls == [2 ** factors]
 
 

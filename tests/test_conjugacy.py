@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tamedyn import valued_field
+from tamedyn import boettcher, conjugacy, valued_field
 from tamedyn.berkovich import BerkPoint
 from tamedyn.boettcher import phi_eval, rho_closeness
 from tamedyn.conjugacy import (
@@ -22,6 +22,7 @@ from tamedyn.conjugacy import (
 )
 from tamedyn.core import build_core
 from tamedyn.errors import NotComparable, TamedynError, WellDefinednessFailure
+from tamedyn.escape import Escaping, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic
@@ -39,6 +40,9 @@ def cubic5(c, b):
 
 BASELINE = (Fraction(1, 5), Fraction(1, 25))
 
+# the entry every report keeps for the coordinate clause that equal keys imply
+COORDINATE_ENTRY = {"status": "pass", "witness": ""}
+
 
 @pytest.mark.parametrize("depth", [0, 2, 4])
 @pytest.mark.parametrize("shift", [0, 5 ** 4])
@@ -54,14 +58,14 @@ def test_self_and_translate_pass(depth, shift):
 def test_maps_with_no_escaping_mark_pass(b_g):
     # z^2 - 1 over PAdic(3), whose mark cycles 0 -> -1 -> 0, against itself
     # and against z^2: both basins are {|z| > 1}, conjugated by the
-    # coordinates at infinity, and both trees are empty.  Clause (iv) was
-    # "skipped" for want of an axis vertex, and the report a Fail.
+    # coordinates at infinity, and both trees are empty.  The coordinate
+    # clause was once "skipped" for want of an axis vertex, and the report a Fail.
     Q3 = PAdic(3)
     f, g = (MarkedPolynomial.from_critical_data([(Q3.zero, 2)], Q3.scalar(b)) for b in (-1, b_g))
     h = build_conjugacy(f, g, None)
     assert h.source.vertices == h.target.vertices == ()
     report = verify_extendable(h)
-    assert report.overall and report.boettcher_at_infinity == ClauseResult("pass")
+    assert report.overall and report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
 
 
 def _with_target(h, **changes):
@@ -79,8 +83,8 @@ def test_isometry_fails_at_the_first_edge_whose_degree_differs():
     edges[1] = dataclasses.replace(edges[1], degree=2)
     report = verify_extendable(_with_target(h, edges=tuple(edges)))
     assert report == VerificationReport(ClauseResult("fail", "edge 2->1: degree 3 vs 2"),
-                                        ClauseResult("pass"), ClauseResult("pass"),
-                                        ClauseResult("pass"))
+                                        ClauseResult("pass"), ClauseResult("pass"))
+    assert report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
 
 
 @pytest.mark.parametrize("vertex, image, witness", [
@@ -95,7 +99,8 @@ def test_equivariance_fails_at_the_first_vertex_whose_image_differs(vertex, imag
     dynamics[vertex] = image
     report = verify_extendable(_with_target(h, dynamics=tuple(dynamics)))
     assert report == VerificationReport(ClauseResult("pass"), ClauseResult("fail", witness),
-                                        ClauseResult("pass"), ClauseResult("pass"))
+                                        ClauseResult("pass"))
+    assert report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
 
 
 def test_mark_moved_beyond_rho_is_not_comparable():
@@ -141,13 +146,17 @@ def test_float_or_bool_rho_is_refused_before_any_orbit_work(rho):
 
 
 @pytest.mark.parametrize("depth, error", [(-1, ValueError), (2.5, TypeError), (True, TypeError)])
-def test_invalid_depth_is_refused_before_any_orbit_work(depth, error):
+def test_invalid_depth_is_refused_before_any_orbit_work(depth, error, monkeypatch):
     # unchecked, depth -1 gives empty trees and a Fail of f against itself,
     # and depth 2.5 a slicing TypeError after the coordinate comparison
+    roots = []
+    root = valued_field._padic_nth_root_unit
+    monkeypatch.setattr(valued_field, "_padic_nth_root_unit",
+                        lambda *args: roots.append(args) or root(*args))
     f = cubic5(*BASELINE)
     with pytest.raises(error, match="depth must be"):
         build_conjugacy(f, f, None, depth=depth)
-    assert not f._records and not f._orbits and not f._phi
+    assert not f._records and not f._orbits and not roots
 
 
 def series_cubic(precision, b_exp):
@@ -168,24 +177,22 @@ PASS_PAIRS = {
 
 
 @pytest.mark.parametrize("backend", sorted(PASS_PAIRS))
-def test_one_coordinate_per_point(backend, monkeypatch):
-    """Clause (iv) reads the coordinates rho_closeness computed, so the whole
-    check takes as many roots as rho_closeness alone, and every kept value
-    equals the one computed on a freshly built copy of the polynomial."""
+def test_verify_extendable_takes_no_root_and_calls_no_phi_eval(backend, monkeypatch):
+    """Equal keys imply the coordinate clause (module docstring), so the
+    check reads no coordinate: every one is taken by rho_closeness, inside
+    build_conjugacy, where the same spies see them."""
     make_f, make_g, root = PASS_PAIRS[backend]
-    roots = []
+    calls = []
     original = getattr(valued_field, root)
-    monkeypatch.setattr(valued_field, root, lambda *args: roots.append(args) or original(*args))
-    rho_closeness(make_f(), make_g(), precision=PRECISION)
-    alone, roots[:] = len(roots), []
-    f, g = make_f(), make_g()
-    report = verify_extendable(build_conjugacy(f, g, None))
-    assert report.overall and report.boettcher_at_infinity.status == "pass"
-    assert len(roots) == alone > 0
-    for poly, make in ((f, make_f), (g, make_g)):
-        assert poly._phi
-        for (z, precision), value in poly._phi.items():
-            assert phi_eval(make(), z, precision) == value
+    monkeypatch.setattr(valued_field, root, lambda *args: calls.append(root) or original(*args))
+    for module in (boettcher, conjugacy):
+        monkeypatch.setattr(module, "phi_eval",
+                            lambda *args: calls.append("phi_eval") or phi_eval(*args))
+    h = build_conjugacy(make_f(), make_g(), None)
+    assert {"phi_eval", root} <= set(calls)
+    calls.clear()
+    report = verify_extendable(h)
+    assert report.overall and calls == []
 
 
 # -- the key map against label-by-label transport --------------------------------
@@ -341,9 +348,98 @@ def test_key_map_matches_label_transport(pair):
     assert fmap == {i: i for i in range(len(src.vertices))}  # the trees list their keys alike
     report = verify_extendable(h)
     expected = VerificationReport(_isometry_by_edges(src, tgt, fmap), report.equivariance,
-                                  _translation_with_children(src, tgt, fmap, translations),
-                                  report.boettcher_at_infinity)
+                                  _translation_with_children(src, tgt, fmap, translations))
     assert report.to_dict() == expected.to_dict()
+    assert report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
     # the key map carries the source edges onto the target edges, lengths kept
     assert ({(fmap[e.lower], fmap[e.upper]): e.length for e in src.edges}
             == {(e.lower, e.upper): e.length for e in tgt.edges})
+
+
+# -- the clauses that equal keys imply -----------------------------------------
+
+def _is_axis(v):
+    """An axis vertex: a disk D(0, q) outside the base disk."""
+    return v.level == 0 and v.center.valuation() >= v.exponent
+
+
+def _boettcher_clause(h):
+    """The coordinate clause that verify_extendable no longer computes, kept as
+    an oracle: at the first two axis vertices, the coordinates at infinity of
+    the first witness that escaped the base disk agree to the vertex's exponent."""
+    src, tgt = h.source, h.target
+    base = src.f.base_radius_exp
+    axis = [(sv.exponent, si) for si, sv in enumerate(src.vertices) if _is_axis(sv)]
+    for q, si in axis[:2]:
+        label = next((cand for cand in src.vertices[si].witnesses
+                      if src.orbit_value(*cand).valuation() < base), None)
+        if label is None:
+            continue
+        pf = phi_eval(src.f, src.orbit_value(*label), PRECISION)
+        pg = phi_eval(tgt.f, tgt.orbit_value(*label), PRECISION)
+        if not (pf - pg).valuation() >= q:
+            return ClauseResult(
+                "fail", f"axis vertex {si}: transported coordinate differs at exponent {q}")
+    return ClauseResult("pass")
+
+
+@settings(max_examples=100)
+@given(pair=conjugacy_pairs())
+@example(pair=(PASS_PAIRS["padic"][0](), PASS_PAIRS["padic"][1](), None, 3))
+@example(pair=(PASS_PAIRS["series"][0](), PASS_PAIRS["series"][1](), None, 3))
+def test_equal_keys_imply_the_coordinate_clause(pair):
+    # the conjugacy module docstring's proof: the target vertex at a source
+    # axis position is an axis vertex, so the clause cannot fail
+    f, g, rho, depth = pair
+    h, err = _outcome(lambda: build_conjugacy(f, g, rho, depth=depth))
+    assume(err is None)
+    assert _boettcher_clause(h) == ClauseResult("pass")
+    assert all(_is_axis(tv) for sv, tv in zip(h.source.vertices, h.target.vertices)
+               if _is_axis(sv))
+
+
+def test_the_coordinate_clause_fails_on_a_target_value_outside_the_axis_disk():
+    # f against itself at depth 2: the axis vertex 0 is D(0, -27), and the
+    # clause reads its first escaped witness (0, 1), of valuation -3 on both
+    # sides; on the edited target that value has valuation -28
+    h = build_conjugacy(cubic5(*BASELINE), cubic5(*BASELINE), None, depth=2)
+    assert h.source.vertices[0].exponent == -27 and _boettcher_clause(h) == ClauseResult("pass")
+    outside = PAdic(5).scalar(Fraction(1, 5 ** 28))
+    edited = _with_target(h, _orbit={**h.target._orbit, (0, 1): outside})
+    assert _boettcher_clause(edited) == ClauseResult(
+        "fail", "axis vertex 0: transported coordinate differs at exponent -27")
+
+
+@settings(max_examples=100)
+@given(pair=conjugacy_pairs())
+def test_isometry_and_equivariance_pass_when_every_mark_escapes(pair):
+    # an escaping mark in an edge's lower disk is a witness of its key, so
+    # equal keys give equal degrees (conjugacy module docstring)
+    f, g, rho, depth = pair
+    h, err = _outcome(lambda: build_conjugacy(f, g, rho, depth=depth))
+    assume(err is None and all(isinstance(classify_critical(f, m), Escaping) for m in f.marks))
+    report = verify_extendable(h)
+    assert (report.isometry, report.equivariance) == (ClauseResult("pass"), ClauseResult("pass"))
+
+
+# -- a pair whose report changes with the depth ----------------------------------
+
+@pytest.mark.parametrize("depth, vertices, local_translation", [
+    (1, 11, ClauseResult("pass")),
+    (2, 13, ClauseResult("pass")),
+    (3, 17, ClauseResult("fail", "vertex 16: witness (2, 0) leaves its direction"
+                                 " under the translation")),
+    (4, 20, ClauseResult("fail", "vertex 19: witness (2, 0) leaves its direction"
+                                 " under the translation")),
+    (5, 23, ClauseResult("fail", "vertex 22: witness (2, 0) leaves its direction"
+                                 " under the translation")),
+])
+def test_a_pass_at_a_shallow_depth_fails_deeper(depth, vertices, local_translation):
+    # today's reports: a Pass holds only at the depth it was built to, and the
+    # critical mark (2, 0) is the witness that the deeper trees reach
+    f, g, rho, depth = _padic_pair(7, ["-12/49", "-11/49", "23/49"], "4",
+                                   ["-54/49", "-11/49", "65/49"], "-4", depth=depth)
+    h = build_conjugacy(f, g, rho, depth=depth)
+    assert len(h.source.vertices) == vertices
+    assert verify_extendable(h) == VerificationReport(ClauseResult("pass"), ClauseResult("pass"),
+                                                      local_translation)

@@ -213,6 +213,20 @@ def test_riemann_hurwitz_degree_equals_taylor_degree_over_series(tree):
 
 
 @settings(max_examples=40)
+@given(tree=st.one_of(TREES, SERIES_TREES, LATE_TREES))
+def test_an_edge_holds_the_same_marks_at_its_midpoint_and_its_lower_end(tree):
+    # build_core reads each degree at the lower exponent q, by the core
+    # docstring's lemma: a mark between the two would make a closer parent
+    marks = [m.point for m in tree.f.marks]
+    for e in tree.edges:
+        lo, up = tree.vertices[e.lower], tree.vertices[e.upper]
+
+        def inside(q):
+            return [i for i, m in enumerate(marks) if (m - lo.center).valuation() >= q]
+        assert inside(Fraction(lo.exponent + up.exponent, 2)) == inside(lo.exponent)
+
+
+@settings(max_examples=40)
 @given(tree=TREES)
 def test_edge_images_have_degree_times_length(tree):
     f = tree.f
