@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from tamedyn.valued_field import (
     PAdic,
     SeriesT,
     Val,
+    _binomial_series,
     int_valuation,
     is_prime,
     nth_root_unit,
@@ -208,6 +210,12 @@ class TestFieldOps:
         assert (x ** 3).rational == F(8, 27)
         assert (x ** -1).rational == F(3, 2)
         assert (x ** 0) == Q3.one
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+    def test_mixed_backends_raise(self, op):
+        for x, y in [(Q3.one, PAdic(5).one), (Q3.one, QT.one), (QT.one, Q3.one)]:
+            with pytest.raises(TypeError, match="mixed backends"):
+                getattr(x, op)(y)
 
     def test_zero_to_a_negative_power_and_non_int_exponents_raise(self):
         with pytest.raises(DivisionByZero):
@@ -537,6 +545,64 @@ def test_inverse_matches_the_geometric_series(case):
     x = _series(r, cutoff, a)
     assume(x.valuation() != 0)
     assert x._series_inverse() == _geometric_inverse(x)
+
+
+def _binomial_sum(h, alpha):
+    """(1 + h)^alpha = sum_k C(alpha, k) h^k for a series h with v(h) > 0,
+    summed term by term, each term cut at the cutoff, until a term is zero
+    or has no term below the cutoff: an oracle for the power recurrence."""
+    acc = term = h.backend.one
+    if h.is_zero:
+        return acc
+    for k in itertools.count(1):
+        try:
+            term = (term * h).scale((alpha - (k - 1)) / k)
+        except PrecisionExhausted:
+            return acc
+        if term.is_zero:
+            return acc
+        acc = acc + term
+
+
+@st.composite
+def binomial_cases(draw):
+    """(h, alpha): ram_den 1-3, cutoff index 2-90, h of lowest index 1-20
+    below the cutoff, sparse (a few terms anywhere) or dense (a run of
+    consecutive indices), and alpha = -1 (inverses) or 1/n, n = 2..27 (roots)."""
+    r = draw(st.integers(1, 3))
+    top = draw(st.integers(1, 89))  # the highest index below the cutoff
+    k0 = draw(st.integers(1, min(20, top)))
+    if draw(st.booleans()):
+        terms = draw(st.dictionaries(st.integers(k0, top), COEFFS, max_size=6))
+    else:
+        stop = draw(st.integers(k0, top))
+        small = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+        terms = {k: draw(small) for k in range(k0, stop + 1)}
+    terms[k0] = draw(COEFFS)
+    alpha = draw(st.sampled_from([F(-1)] + [F(1, n) for n in range(2, 28)]))
+    return _series(r, Fraction(top + 1, r), terms), alpha
+
+
+@settings(max_examples=150)
+@given(case=binomial_cases())
+def test_power_recurrence_matches_the_binomial_sum(case):
+    h, alpha = case
+    assert h.backend.cutoff_index > h._series[0] >= 1
+    assert _binomial_series(h, alpha)._series == _binomial_sum(h, alpha)._series
+
+
+@settings(max_examples=300)
+@given(p=st.sampled_from([2, 3, 5, 7]), e=st.integers(-3, 3), q=st.fractions(),
+       shift=st.booleans())
+def test_padic_one_unit_precondition_matches_the_valuation(p, e, q, shift):
+    """nth_root_unit decides v(u - 1) > 0 on u's numerator and denominator;
+    u = p^e q, or 1 + p^e q to reach the 1-units."""
+    u = PAdic(p).scalar(int(shift) + Fraction(p) ** e * q)
+    try:
+        accepted = nth_root_unit(u, 1, 1) == u
+    except PreconditionViolated:
+        accepted = False
+    assert accepted == ((u - PAdic(p).one).valuation() > 0)
 
 
 @settings(max_examples=300)
