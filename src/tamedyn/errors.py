@@ -17,7 +17,8 @@ class DivisionByZero(TamedynError):
 
 class PrecisionExhausted(TamedynError):
     """A SeriesT result is not representable: it has no term below the
-    cutoff, or a sum spans more than MAX_SERIES_SPAN exponent indices."""
+    cutoff, a sum spans more than MAX_SERIES_SPAN exponent indices, or
+    ``phi_eval`` is asked for a precision above the series cutoff."""
 
 
 class RootUnavailable(TamedynError):

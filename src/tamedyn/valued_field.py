@@ -455,8 +455,8 @@ class Scalar:
         return result
 
     def scale(self, q: Rat) -> "Scalar":
-        """Multiply by an exact rational constant; a series by 1 or -1
-        without renormalizing, as each term of a series inverse is scaled."""
+        """Multiply by an exact rational constant; a series by 1 or -1 without
+        renormalizing, as derivatives and marks of local degree 2 scale by 1."""
         q = _as_fraction(q)
         if self._rat is not None:
             return Scalar(self.backend, rational=self._rat * q)

@@ -1,6 +1,7 @@
 """Conjugacy between two core trees: passing pairs, incomparable pairs, the
-ways label transport can fail to be well defined, and the key map checked
-on drawn pairs against label-by-label transport."""
+ways label transport can fail to be well defined, the key map checked on
+drawn pairs against label-by-label transport, and the clauses that equal
+keys imply kept as oracles, run on every drawn pair the map accepts."""
 
 import copy
 import dataclasses
@@ -22,7 +23,6 @@ from tamedyn.conjugacy import (
 )
 from tamedyn.core import build_core
 from tamedyn.errors import NotComparable, TamedynError, WellDefinednessFailure
-from tamedyn.escape import Escaping, classify_critical
 from tamedyn.polynomial import MarkedPolynomial
 from tamedyn.serialize import polynomial_from_json
 from tamedyn.valued_field import PAdic
@@ -40,8 +40,9 @@ def cubic5(c, b):
 
 BASELINE = (Fraction(1, 5), Fraction(1, 25))
 
-# the entry every report keeps for the coordinate clause that equal keys imply
-COORDINATE_ENTRY = {"status": "pass", "witness": ""}
+# the entry every report keeps for each clause that equal keys imply
+IMPLIED_ENTRY = {"status": "pass", "witness": ""}
+IMPLIED = ("isometry", "equivariance", "boettcher_at_infinity")
 
 
 @pytest.mark.parametrize("depth", [0, 2, 4])
@@ -65,7 +66,7 @@ def test_maps_with_no_escaping_mark_pass(b_g):
     h = build_conjugacy(f, g, None)
     assert h.source.vertices == h.target.vertices == ()
     report = verify_extendable(h)
-    assert report.overall and report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
+    assert report.overall and all(report.to_dict()[name] == IMPLIED_ENTRY for name in IMPLIED)
 
 
 def _with_target(h, **changes):
@@ -77,14 +78,15 @@ def _with_target(h, **changes):
 
 
 def test_isometry_fails_at_the_first_edge_whose_degree_differs():
-    # f against itself at depth 2: edges 1->0, 2->1, 3->2, each of degree 3
+    # f against itself at depth 2: edges 1->0, 2->1, 3->2, each of degree 3.
+    # The clause is an oracle: verify_extendable reads no edge and still passes.
     h = build_conjugacy(cubic5(*BASELINE), cubic5(*BASELINE), None, depth=2)
     edges = list(h.target.edges)
     edges[1] = dataclasses.replace(edges[1], degree=2)
-    report = verify_extendable(_with_target(h, edges=tuple(edges)))
-    assert report == VerificationReport(ClauseResult("fail", "edge 2->1: degree 3 vs 2"),
-                                        ClauseResult("pass"), ClauseResult("pass"))
-    assert report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
+    edited = _with_target(h, edges=tuple(edges))
+    assert (_isometry_by_edges(edited.source, edited.target, edited.vertex_map)
+            == ClauseResult("fail", "edge 2->1: degree 3 vs 2"))
+    assert verify_extendable(edited) == VerificationReport(ClauseResult("pass"))
 
 
 @pytest.mark.parametrize("vertex, image, witness", [
@@ -93,14 +95,15 @@ def test_isometry_fails_at_the_first_edge_whose_degree_differs():
     (0, 1, "vertex 0: dynamics truncation mismatch"),
 ])
 def test_equivariance_fails_at_the_first_vertex_whose_image_differs(vertex, image, witness):
-    # f against itself at depth 2: dynamics (None, 0, 1, 2)
+    # f against itself at depth 2: dynamics (None, 0, 1, 2).  The clause is an
+    # oracle: verify_extendable reads no dynamics and still passes.
     h = build_conjugacy(cubic5(*BASELINE), cubic5(*BASELINE), None, depth=2)
     dynamics = list(h.target.dynamics)
     dynamics[vertex] = image
-    report = verify_extendable(_with_target(h, dynamics=tuple(dynamics)))
-    assert report == VerificationReport(ClauseResult("pass"), ClauseResult("fail", witness),
-                                        ClauseResult("pass"))
-    assert report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
+    edited = _with_target(h, dynamics=tuple(dynamics))
+    assert (_equivariance_by_vertices(edited.source, edited.target, edited.vertex_map)
+            == ClauseResult("fail", witness))
+    assert verify_extendable(edited) == VerificationReport(ClauseResult("pass"))
 
 
 def test_mark_moved_beyond_rho_is_not_comparable():
@@ -256,6 +259,18 @@ def _isometry_by_edges(src, tgt, fmap):
     return ClauseResult("pass")
 
 
+def _equivariance_by_vertices(src, tgt, fmap):
+    """Clause (ii) checked vertex by vertex: map(f(v)) = g(map(v)), and the two
+    images are both recorded or both not."""
+    for si, ds in enumerate(src.dynamics):
+        dt = tgt.dynamics[fmap[si]]
+        if (ds is None) != (dt is None):
+            return ClauseResult("fail", f"vertex {si}: dynamics truncation mismatch")
+        if ds is not None and fmap[ds] != dt:
+            return ClauseResult("fail", f"vertex {si}: map(f(v)) = {fmap[ds]} but g(map(v)) = {dt}")
+    return ClauseResult("pass")
+
+
 def _translation_with_children(src, tgt, fmap, translations):
     """Clause (iii) over the witnesses of each vertex and of its children."""
     children = {si: [] for si in fmap}
@@ -305,6 +320,39 @@ def conjugacy_pairs(draw):
     return poly(cs, b), poly(cs2, b2), rho, draw(st.integers(2, 4))
 
 
+@st.composite
+def bounded_mark_pairs(draw):
+    """Quartics over PAdic(5|7) with marks of local degree 2 of which mark j is a
+    superattracting fixed point of both maps, each b solved from f(c_j) = c_j:
+    c_j of valuation e = -1 or -2, a second mark at valuation e..e+2 from it
+    (so that in most accepted pairs the two share a vertex below the base
+    point), and the third; g moves the other two marks by opposite powers of p.
+    rho None or 1-3, depth 2-4."""
+    p = draw(st.sampled_from([5, 7]))
+    unit = st.integers(min_value=-12, max_value=12).filter(bool)
+    backend = PAdic(p)
+    e = -draw(st.integers(1, 2))
+    bounded = _p_adic_number(p, draw(unit), e)
+    near = bounded + _p_adic_number(p, draw(unit), e + draw(st.integers(0, 2)))
+    shift = _p_adic_number(p, draw(unit), draw(st.integers(-1, 4)))
+    j = draw(st.integers(0, 2))
+    cs, cs2 = ([*others[:j], bounded, *others[j:]]
+               for others in ([near, -bounded - near], [near + shift, -bounded - near - shift]))
+    assume(len(set(cs)) == len(set(cs2)) == 3)
+
+    def poly(marks):
+        points = [(backend.scalar(c), 2) for c in marks]
+        c = points[j][0]
+        return MarkedPolynomial.from_critical_data(
+            points, c - MarkedPolynomial.from_critical_data(points, backend.zero)(c))
+
+    rho = draw(st.sampled_from([None, None, None, Fraction(1), Fraction(2), Fraction(3)]))
+    return poly(cs), poly(cs2), rho, draw(st.integers(2, 4))
+
+
+PAIRS = st.one_of(conjugacy_pairs(), bounded_mark_pairs())
+
+
 def _padic_pair(p, marks, b, marks2, b2, rho=None, depth=3):
     def poly(marks, b):
         return MarkedPolynomial.from_critical_data(
@@ -327,7 +375,7 @@ GAP_SEEN_BEFORE = _padic_pair(5, ["-11/5", "11/5"], "-8/125", ["-31/5", "31/5"],
 
 
 @settings(max_examples=150)
-@given(pair=conjugacy_pairs())
+@given(pair=PAIRS)
 # one pair for each way the transport fails, and one for clause (iii)
 @example(pair=_padic_pair(5, ["9", "-9"], "-7/125", ["51/5", "-51/5"], "-7/125"))
 @example(pair=_padic_pair(5, ["9/5", "-6/5", "-3/5"], "8/125", ["69/5", "-6/5", "-63/5"],
@@ -346,14 +394,12 @@ def test_key_map_matches_label_transport(pair):
     src, tgt, fmap, translations, bound = oracle
     assert (h.vertex_map, h.rho_bound) == (fmap, bound)
     assert fmap == {i: i for i in range(len(src.vertices))}  # the trees list their keys alike
-    report = verify_extendable(h)
-    expected = VerificationReport(_isometry_by_edges(src, tgt, fmap), report.equivariance,
-                                  _translation_with_children(src, tgt, fmap, translations))
-    assert report.to_dict() == expected.to_dict()
-    assert report.to_dict()["boettcher_at_infinity"] == COORDINATE_ENTRY
-    # the key map carries the source edges onto the target edges, lengths kept
-    assert ({(fmap[e.lower], fmap[e.upper]): e.length for e in src.edges}
-            == {(e.lower, e.upper): e.length for e in tgt.edges})
+    # the key map carries the source edges onto the target edges, lengths and
+    # degrees kept, and the recorded dynamics onto the target's
+    assert _isometry_by_edges(src, tgt, fmap) == ClauseResult("pass")
+    assert _equivariance_by_vertices(src, tgt, fmap) == ClauseResult("pass")
+    assert verify_extendable(h) == VerificationReport(
+        _translation_with_children(src, tgt, fmap, translations))
 
 
 # -- the clauses that equal keys imply -----------------------------------------
@@ -384,7 +430,7 @@ def _boettcher_clause(h):
 
 
 @settings(max_examples=100)
-@given(pair=conjugacy_pairs())
+@given(pair=PAIRS)
 @example(pair=(PASS_PAIRS["padic"][0](), PASS_PAIRS["padic"][1](), None, 3))
 @example(pair=(PASS_PAIRS["series"][0](), PASS_PAIRS["series"][1](), None, 3))
 def test_equal_keys_imply_the_coordinate_clause(pair):
@@ -411,15 +457,21 @@ def test_the_coordinate_clause_fails_on_a_target_value_outside_the_axis_disk():
 
 
 @settings(max_examples=100)
-@given(pair=conjugacy_pairs())
-def test_isometry_and_equivariance_pass_when_every_mark_escapes(pair):
-    # an escaping mark in an edge's lower disk is a witness of its key, so
-    # equal keys give equal degrees (conjugacy module docstring)
+@given(pair=PAIRS)
+# the fixed mark 0 and mark 1 share vertex 11, of level 2, whose edge has
+# degree 3: a Pass, then a Fail on clause (iii)
+@example(pair=_padic_pair(5, ["1/5", "6/5", "-7/5"], "42/625",
+                          ["1/5", "131/5", "-132/5"], "-34458/625"))
+@example(pair=_padic_pair(5, ["1/5", "6/5", "-7/5"], "42/625",
+                          ["1/5", "11/5", "-12/5"], "-138/625"))
+def test_equal_keys_imply_isometry_and_equivariance(pair):
+    # the conjugacy module docstring's proof, on both strategies: a bounded
+    # mark is no witness, and may share an edge's lower disk with escaping ones
     f, g, rho, depth = pair
     h, err = _outcome(lambda: build_conjugacy(f, g, rho, depth=depth))
-    assume(err is None and all(isinstance(classify_critical(f, m), Escaping) for m in f.marks))
-    report = verify_extendable(h)
-    assert (report.isometry, report.equivariance) == (ClauseResult("pass"), ClauseResult("pass"))
+    assume(err is None)
+    assert _isometry_by_edges(h.source, h.target, h.vertex_map) == ClauseResult("pass")
+    assert _equivariance_by_vertices(h.source, h.target, h.vertex_map) == ClauseResult("pass")
 
 
 # -- a pair whose report changes with the depth ----------------------------------
@@ -441,5 +493,19 @@ def test_a_pass_at_a_shallow_depth_fails_deeper(depth, vertices, local_translati
                                    ["-54/49", "-11/49", "65/49"], "-4", depth=depth)
     h = build_conjugacy(f, g, rho, depth=depth)
     assert len(h.source.vertices) == vertices
-    assert verify_extendable(h) == VerificationReport(ClauseResult("pass"), ClauseResult("pass"),
-                                                      local_translation)
+    assert verify_extendable(h) == VerificationReport(local_translation)
+
+
+@pytest.mark.parametrize("pair, overall", [
+    ((cubic5(*BASELINE), cubic5(BASELINE[0], BASELINE[1] + 5 ** 4), None, 3), "Pass"),
+    (_padic_pair(7, ["-12/49", "-11/49", "23/49"], "4", ["-54/49", "-11/49", "65/49"], "-4"),
+     "Fail"),
+])
+def test_the_report_keeps_an_entry_for_each_implied_clause(pair, overall):
+    # the same keys on a Pass and on a Fail, so that no entry that the corpus
+    # references hash goes missing
+    f, g, rho, depth = pair
+    report = verify_extendable(build_conjugacy(f, g, rho, depth=depth)).to_dict()
+    assert set(report) == {*IMPLIED, "local_translation", "overall"}
+    assert all(report[name] == IMPLIED_ENTRY for name in IMPLIED)
+    assert report["overall"] == overall

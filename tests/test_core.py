@@ -73,15 +73,16 @@ TREES = st.builds(
 
 
 @st.composite
-def series_trees(draw):
+def series_trees(draw, max_depth=4):
     """Trees of the ``_series_cubic``s over SeriesT(20|30, ram_den 1-3), with the
-    mark exponent in -1..1 and b's in -5..0, both on the 1/ram_den grid."""
+    mark exponent in -1..1 and b's in -5..0, both on the 1/ram_den grid, at
+    depths 1..max_depth."""
     ram_den = draw(st.integers(min_value=1, max_value=3))
     lead = Fraction(draw(st.integers(-ram_den, ram_den)), ram_den)
     b_exp = Fraction(draw(st.integers(-5 * ram_den, 0)), ram_den)
     f = _series_cubic(draw(st.sampled_from(["20", "30"])), ram_den, str(lead), str(b_exp))
     return _tree(f, draw(st.sampled_from([None, Fraction(1), Fraction(2), Fraction(7, 2)])),
-                 draw(st.integers(min_value=1, max_value=4)))
+                 draw(st.integers(min_value=1, max_value=max_depth)))
 
 
 SERIES_TREES = series_trees()
@@ -244,6 +245,29 @@ def test_dynamics_maps_ancestors_to_ancestors(tree):
         dv, du = tree.dynamics[e.lower], tree.dynamics[e.upper]
         if dv is not None and du is not None:
             assert compare(tree.vertices[dv].point, tree.vertices[du].point) in AT_MOST
+
+
+@settings(max_examples=200)
+@given(tree=st.one_of(
+    st.builds(_tree, escaping_polynomials(), st.sampled_from([None, Fraction(1), Fraction(2)]),
+              st.integers(min_value=1, max_value=5)),
+    series_trees(max_depth=5),
+    LATE_TREES))
+def test_images_in_the_base_disk_are_the_shallowest_vertices_of_the_next_label(tree):
+    """The lemma of the conjugacy docstring: for a label l with a successor l+,
+    the recorded images of the vertices in the base disk that hold l are, in
+    exponent order, the shallowest vertices that hold l+ inside f(base disk),
+    the disk of exponent d*beta.  Late trees come at their own depths, 1-4: at
+    depth 5 their orbit heights make each tree slow to build."""
+    floor = tree.f.degree * tree.f.base_radius_exp
+    labels = {label for v in tree.vertices for label in v.witnesses}
+    for i, n in labels:
+        if (i, n + 1) not in labels:
+            continue
+        held = [vi for vi, v in enumerate(tree.vertices) if v.level >= 1 and (i, n) in v.witnesses]
+        successors = [vi for vi, v in enumerate(tree.vertices)
+                      if v.exponent >= floor and (i, n + 1) in v.witnesses]
+        assert [tree.dynamics[vi] for vi in held] == successors[:len(held)]
 
 
 @settings(max_examples=15)
