@@ -15,13 +15,13 @@ keeps every edge at a single degree), and the forward/backward closure
 of these under the exact ray dynamics.  Every vertex is a disk
 D(a, q) around a value of the pool {0, orbit values, marks}.  The metric
 is ultrametric, so a disk is fixed by its exponent q and the pool values
-it contains: ``build_core`` names it once, as (q, least pool index b with
-v(a - pool[b]) >= q), reading one row of a table of pairwise valuations.
-A vertex holds the disk's first center, its exponent q (a finite int or
-Fraction, like every exponent here; ``CoreVertex.point`` is the same disk
-as a ``BerkPoint``, for the oracles) and its orbit witnesses (mark index,
-iterate), the orbit values inside.  The image of each vertex is recorded
-by the closure's forward step.
+it contains: ``build_core`` numbers it once, when it is first found, under
+(q, least pool index b with v(a - pool[b]) >= q), reading one row of a table
+of pairwise valuations.  A vertex holds the disk's first center, its
+exponent q (a finite int or Fraction, like every exponent here;
+``CoreVertex.point`` is the same disk as a ``BerkPoint``) and its orbit
+witnesses (mark index, iterate), the orbit values inside.  The image of
+each vertex is recorded by the closure's forward step.
 
 The joins come from the pool's dendrogram (``_joins``): for each pool index
 a >= 1, q = max(table[a][:a]) and the join D(pool[a], q), centered at its
@@ -55,23 +55,26 @@ at the table's v(w), exact because f is tame and every critical point lies
 in the base disk; so no Taylor shift runs on a value past its first exit,
 whose height grows d-fold per step.
 
-One pass over the disks, in (radius exponent, first witness) order, gives
-each its parent, level, vertex and edge; the order is strict, as disks of
-one radius that share a witness are equal, and it is the vertices' order.
-The parent is its closest strict ancestor, found with ``compare`` over
-``BerkPoint`` views of the disks before it (the benchmark's traced run
-counts those calls; reading the table instead waits for its next change,
-see ROADMAP.md).  The level counts the vertices on the segment from the
-disk to the base point: 0 outside the base disk, 1 at the base point, and
-one more than its parent's strictly inside.  A disk of level above the
-depth is skipped; ancestors have no higher level, so a kept disk's parent
-is kept, and vertex 0 is the root.  An edge's degree, the Riemann-Hurwitz
-count at its midpoint, is read off its lower vertex's row (the marks are
-in the pool) at the lower exponent q: a mark in D(a, mid) but not in
-D(a, q) would make D(a, v(a - mark)) a join strictly between the edge's
-two ends, and that join is on the tree (it holds the lower disk, whose
-labels are not trimmed above q, or the base disk), so it would be a closer
-parent.  ``MarkedPolynomial.local_degree_rh`` is the tests' oracle for it.
+One pass over the disks, in (radius exponent, first witness) order, gives each
+its parent, level, vertex and edge; the order is strict, as disks of one radius
+that share a witness are equal, and it is the vertices' order.  The level counts
+the vertices on the segment from the disk to the base point: 0 outside the base
+disk, 1 at the base point, and one more than its parent's strictly inside.  A
+disk of level above the depth is skipped.  The parent is the last kept vertex
+before the disk, of smaller exponent, that ``compare`` finds containing it (the
+benchmark's traced run counts those calls; reading the table instead waits for
+its next change, see ROADMAP.md).  Ancestors have no higher level, so a kept
+disk's closest ancestor is kept and is found.  A skipped disk is at least as
+deep as the child, on its chain, of its closest kept ancestor u; that child is
+skipped, so the level 1 + level(u) read off u, the child's, exceeds the depth
+(inside the base disk levels rise by one per step, and the 0/1 rules read no
+parent).  Vertex 0 is the root.  An edge's degree, the Riemann-Hurwitz count at
+its midpoint, is read off its lower vertex's row (the marks are in the pool) at
+the lower exponent q: a mark in D(a, mid) but not in D(a, q) would make
+D(a, v(a - mark)) a join strictly between the edge's two ends, and that join is
+on the tree (it holds the lower disk, whose labels are not trimmed above q, or
+the base disk), so it would be a closer parent.  The tests' oracle for it is
+``MarkedPolynomial.local_degree_rh``.
 
 ``export_core`` writes its text directly, one template per record, and the
 text is byte-identical to ``json.dumps`` with sorted keys and indent 2.
@@ -93,8 +96,6 @@ from tamedyn.valued_field import Rat, Scalar, _as_fraction, valuation_table
 
 DEFAULT_DEPTH = 3
 
-DiskKey = tuple[Rat, int]  # (radius exponent, least pool index inside)
-
 
 @dataclass(frozen=True)
 class CoreVertex:
@@ -107,7 +108,8 @@ class CoreVertex:
 
     @property
     def point(self) -> BerkPoint:
-        """The disk as a BerkPoint, for the oracles of the tests and the benchmark."""
+        """The disk as a BerkPoint: the parent search of ``build_core`` compares
+        with it, and so do the oracles of the tests and the benchmark."""
         return BerkPoint(self.center, self.exponent)
 
 
@@ -224,52 +226,47 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
 
     top_exp = min(table[s][0] for s in slots.values() if s != 0)
 
-    # the disks on the tree -> (center, orbit keys inside, sorted), in the
-    # order they were found; each one is also queued once for the closure
-    disks: dict[DiskKey, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    pending: list[DiskKey] = []
+    # the disks on the tree as (center slot, exponent, orbit keys inside, sorted),
+    # numbered in the order they were found, and each number by (q, least index)
+    disks: list[tuple[int, Rat, tuple[tuple[int, int], ...]]] = []
+    number: dict[tuple[Rat, int], int] = {}
 
-    def disk(a: int, q: Rat) -> DiskKey:
-        """The key of D(pool[a], q).  A new disk is recorded and queued when
-        it is on the tree: q is at least the top exponent, and the disk either
-        contains the base disk or an orbit value whose ray is not trimmed at q."""
+    def disk(a: int, q: Rat) -> int:
+        """The number of D(pool[a], q), or -1 when it is off the tree.  A disk is
+        on it when q is at least the top exponent, and the disk either contains
+        the base disk or an orbit value whose ray is not trimmed at q."""
         row = table[a]
-        least = next(b for b, e in enumerate(row) if e >= q)
-        key = (q, least)
-        if key in disks or q < top_exp:
-            return key
-        labels = tuple(sorted(k for b in range(least, len(row)) if row[b] >= q
+        key = (q, next(b for b, e in enumerate(row) if e >= q))
+        if key in number or q < top_exp:
+            return number.get(key, -1)
+        labels = tuple(sorted(k for b in range(key[1], len(row)) if row[b] >= q
                               for k in keys_at[b]))
         if (q <= base and row[0] >= q) or any(cuts.get(k, math.inf) > q for k in labels):
             if not labels:
                 raise AssertionError("vertex without an orbit witness")
-            disks[key] = (a, labels)
-            pending.append(key)
-        return key
+            number[key] = len(disks)
+            disks.append((a, q, labels))
+        return number.get(key, -1)
 
     # the base point plus every join of the pool
     disk(0, base)
     for least, q in _joins(table):
         disk(least, q)
 
-    # closure under the exact ray dynamics, forward and backward.  The forward
-    # step goes along the first label with a materialized successor, and
-    # its image disk is the vertex's recorded image.
-    images: dict[DiskKey, DiskKey | None] = {}
-    guard = 0
-    while pending:
-        guard += 1
-        if guard > 100_000:
+    # closure under the exact ray dynamics, forward and backward, walking the list
+    # as it grows.  The forward step goes along the first label with a materialized
+    # successor; its image disk (-1 when off the tree) is the vertex's recorded image.
+    images: list[int | None] = []
+    for a, q, labels in disks:
+        if len(images) >= 100_000:
             raise AssertionError("tree closure failed to stabilize")
-        key = pending.pop()
-        q, labels = key[0], disks[key][1]
-        images[key] = None
+        images.append(None)
         for i, n in labels:
             succ = slots.get((i, n + 1))
             if succ is not None:
                 q_img = segs[(i, n)].image_exp(q)
                 if q_img >= top_exp:
-                    images[key] = disk(succ, q_img)
+                    images[-1] = disk(succ, q_img)
                 break
         # preimages on every materialized ray, one per component of f^-1(D)
         found: list[tuple[int, Rat]] = []  # (center slot, exponent) of each preimage
@@ -279,30 +276,27 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                 found.append((s, segs[(j, n - 1)].invert(q)))
                 disk(*found[-1])
 
-    # one pass in (exponent, first label) order: a disk's parent is the last of
-    # the disks before it, of smaller exponent, that contains it
-    order = sorted(disks, key=lambda key: (key[0], disks[key][1][0]))
-    pts = {key: BerkPoint(pool[disks[key][0]], key[0]) for key in order}
-    level: dict[DiskKey, int] = {}
-    vertex_of: dict[DiskKey, int] = {}  # kept disk -> vertex number
+    # one pass in (exponent, first label) order, the parent searched among kept vertices
+    vertex_of: dict[int, int] = {}  # kept disk -> vertex number
     vertices, edges = [], []
-    for pos, key in enumerate(order):
-        q, (a, labels) = key[0], disks[key]
-        u = next((u for u in reversed(order[:pos])
-                  if u[0] < q and compare(pts[key], pts[u]) is Comparison.LESS), None)
-        level[key] = (0 if min(table[a][0], q) < base  # outside the base disk
-                      else 1 if q == base else 1 + level[u])
-        if level[key] > depth:
+    for d in sorted(range(len(disks)), key=lambda d: (disks[d][1], disks[d][2][0])):
+        a, q, labels = disks[d]
+        point = BerkPoint(pool[a], q)
+        u = next((u for u in reversed(range(len(vertices))) if vertices[u].exponent < q
+                  and compare(point, vertices[u].point) is Comparison.LESS), None)
+        level = (0 if min(table[a][0], q) < base  # outside the base disk
+                 else 1 if q == base else 1 + vertices[u].level)
+        if level > depth:
             continue
-        vertex_of[key] = len(vertices)
-        vertices.append(CoreVertex(pool[a], q, labels, level[key]))
+        vertex_of[d] = len(vertices)
+        vertices.append(CoreVertex(pool[a], q, labels, level))
         if u is not None:
             # degree: 1 + sum (d_i - 1) over the marks in D(pool[a], q), as at the midpoint
             degree = 1 + sum(k for s, k in mark_slots if table[a][s] >= q)
-            edges.append(CoreEdge(vertex_of[key], vertex_of[u], degree, q - u[0]))
-    if any(images[key] is not None and images[key] not in vertex_of for key in vertex_of):
+            edges.append(CoreEdge(vertex_of[d], u, degree, q - vertices[u].exponent))
+    if any(images[d] is not None and images[d] not in vertex_of for d in vertex_of):
         raise AssertionError("image of a vertex is missing from the tree")
-    dynamics = [None if images[key] is None else vertex_of[images[key]] for key in vertex_of]
+    dynamics = [None if images[d] is None else vertex_of[images[d]] for d in vertex_of]
     depth_truncated = len(vertex_of) < len(disks)  # some disk was skipped
 
     # boundary markers

@@ -115,6 +115,8 @@ def scalar_from_json(backend, data) -> Scalar:
             return backend.scalar(_json_rational(data))
         if isinstance(backend, PAdic):
             raise InputError("series literal for a p-adic backend")
+        if not all(type(term) is list and len(term) == 2 for term in data):
+            raise InputError(f"bad scalar literal {data!r}: a term is [exponent, coefficient]")
         return backend.scalar(terms=[(_json_rational(e), _json_rational(c)) for e, c in data])
     except _MALFORMED as exc:
         raise InputError(f"bad scalar literal {data!r}: {exc}") from exc

@@ -496,6 +496,32 @@ def test_a_pass_at_a_shallow_depth_fails_deeper(depth, vertices, local_translati
     assert verify_extendable(h) == VerificationReport(local_translation)
 
 
+# drawn from conjugacy_pairs at seed 3 (32 of 3,000 draws flip): a cubic with its
+# marks and b moved that flips from depth 2 on, and a quartic with b moved that
+# flips from depth 3 on; each depth's vertex count and failing vertex, if any
+FLIPPED_PAIRS = {
+    "cubic7": ((7, ["4", "-4"], "-8/7", ["8", "-8"], "-400/7"), (1, 0),
+               [(7, None), (8, 6), (10, 8), (12, 10), (14, 12)]),
+    "quartic5": ((5, ["-7/5", "-1", "12/5"], "-8/25", ["-7/5", "-1", "12/5"], "-33/25"), (2, 0),
+                 [(13, None), (16, None), (22, 20), (27, 24), (32, 28)]),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(FLIPPED_PAIRS))
+def test_drawn_pairs_that_pass_at_a_shallow_depth_fail_deeper(name, depth):
+    # today's reports, pinned like the pair above: Pass up to the flip, then
+    # clause (iii) fails with a critical mark as the witness
+    args, witness, reports = FLIPPED_PAIRS[name]
+    vertices, failing = reports[depth - 1]
+    f, g, rho, depth = _padic_pair(*args, depth=depth)
+    h = build_conjugacy(f, g, rho, depth=depth)
+    assert len(h.source.vertices) == len(h.target.vertices) == vertices
+    expected = ClauseResult("pass") if failing is None else ClauseResult(
+        "fail", f"vertex {failing}: witness {witness} leaves its direction under the translation")
+    assert verify_extendable(h) == VerificationReport(expected)
+
+
 @pytest.mark.parametrize("pair, overall", [
     ((cubic5(*BASELINE), cubic5(BASELINE[0], BASELINE[1] + 5 ** 4), None, 3), "Pass"),
     (_padic_pair(7, ["-12/49", "-11/49", "23/49"], "4", ["-54/49", "-11/49", "65/49"], "-4"),

@@ -289,6 +289,21 @@ def test_depth_acts_only_as_a_level_filter(tree):
                                      else number[full.dynamics[vi]] for vi in kept)
 
 
+def test_the_parent_search_compares_with_kept_vertices_only(monkeypatch):
+    """On a late tree cut at depth 1, every candidate ancestor that build_core
+    hands to compare is a vertex of the tree, never a disk the level filter
+    skipped (b = 2c^3 - 2c + 5 with c = 1/5, the k = 1 tree of LATE_TREES)."""
+    backend = PAdic(5)
+    c = backend.scalar(Fraction(1, 5))
+    f = MarkedPolynomial.from_critical_data(
+        [(c, 2), (-c, 2)], (c * c * c).scale(2) - c.scale(2) + backend.scalar(5))
+    candidates = []
+    monkeypatch.setattr("tamedyn.core.compare", lambda x, y: candidates.append(y) or compare(x, y))
+    tree = _tree(f, None, 1)
+    assert "vertices beyond level 1 were pruned" in tree.warnings
+    assert candidates and all(any(y == v.point for v in tree.vertices) for y in candidates)
+
+
 def test_no_taylor_data_at_the_last_orbit_value(monkeypatch):
     """The last materialized value of each escaping orbit has no successor,
     so the tree never reads its ray map (both marks of the cubic escape)."""

@@ -184,6 +184,9 @@ MALFORMED = {
     "series coefficient a float": lambda: scalar_from_json(QT, [["1", 0.1]]),
     # once parsed by Fraction, which builds 10^e for a string "1e<e>"
     "scalar a decimal string": lambda: scalar_from_json(Q5, "1e3"),
+    # each once unpacked as a term: "12" as 2 t^1, the object as its two keys
+    "series term a two-character string": lambda: scalar_from_json(QT, ["12"]),
+    "series term a two-key object": lambda: scalar_from_json(QT, [{"1": "1", "2": "1"}]),
 }
 
 
