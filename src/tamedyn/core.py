@@ -97,6 +97,10 @@ from tamedyn.valued_field import Rat, Scalar, _as_fraction, valuation_table
 DEFAULT_DEPTH = 3
 
 
+def _fwd_depth(depth: int) -> int:
+    return max(2, depth)
+
+
 @dataclass(frozen=True)
 class CoreVertex:
     """The disk D(center, base^-exponent), with the orbit values inside it."""
@@ -133,7 +137,7 @@ class CoreTree:
         self.f = f
         self.rho = rho  # Fraction or None (= untrimmed)
         self.depth = depth
-        self.fwd_depth = max(2, depth)  # iterates materialized past each first exit
+        self.fwd_depth = _fwd_depth(depth)  # iterates materialized past each first exit
         self.vertices: tuple[CoreVertex, ...] = vertices
         self.edges: tuple[CoreEdge, ...] = edges
         self.dynamics: tuple[int | None, ...] = dynamics  # image vertex of each vertex
@@ -194,7 +198,7 @@ def build_core(f: MarkedPolynomial, rho: Fraction | None = None,
                     BoundaryMark("to_infinity", None, "open axis toward infinity"))
         return CoreTree(f, rho, depth, (), (), (), boundary, tuple(warnings), {})
 
-    fwd = max(2, depth)
+    fwd = _fwd_depth(depth)
     orbit: dict[tuple[int, int], Scalar] = {
         (i, n): w for i, m in exits.items()
         for n, w in enumerate(f.orbit(f.marks[i], m + fwd)[:m + fwd + 1])}

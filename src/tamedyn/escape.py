@@ -1,19 +1,20 @@
 """Orbit classification of critical points and the basin-of-infinity tests.
 
 Escape is decided by exact iteration: the orbit leaves the base disk or
-it does not within BUDGET steps.  Each mark's orbit is iterated once per
-polynomial, through the store `MarkedPolynomial.orbit`, by one loop that
-returns its record, and the record is kept on the polynomial; the core
-tree and the coordinate comparison read the same values.  Non-escape is
-certified in two ways.  An exact cycle of orbit values makes the mark
-bounded; the kind of its bounded component is then resolved by pulling
-the base point back along the orbit with exact piecewise-linear
-inversions.  Over PAdic with base exponent 0 the unit disk maps into
-itself, so every mark is bounded and the only question is whether its
-orbit cycles.  A rational point is preperiodic only if its orbit is
-bounded at every place of Q (Call-Silverman), so an orbit value that
-escapes at the real place or at a prime q != p (see `_wanders`) proves
-that the orbit never cycles, and the component is the whole disk.
+it does not within BUDGET steps.  Each orbit value is computed once per
+polynomial, by the store `MarkedPolynomial.orbit`, which classification,
+the core tree and the first-exit values of `rho_closeness` read; a mark's
+record is kept on the polynomial.  `phi_eval` iterates f again from the
+value it is given, recomputing orbit values the store may hold.
+Non-escape is certified in two ways.  An exact cycle of orbit values
+makes the mark bounded; the kind of its bounded component is then
+resolved by pulling the base point back along the orbit with exact
+piecewise-linear inversions.  Over PAdic with base exponent 0 the unit
+disk maps into itself, so every mark is bounded and the only question is
+whether its orbit cycles.  A rational point is preperiodic only if its
+orbit is bounded at every place of Q (Call-Silverman), so an orbit value
+that escapes at the real place or at a prime q != p (see `_wanders`)
+proves that the orbit never cycles, and the component is the whole disk.
 
 For an eventually periodic orbit the ray maps of one period compose to
 a single exact ray map F (a min of lines k*q + v, every k >= 1), and the

@@ -3,9 +3,7 @@
 The input chart is critical data: distinct marks c_i with local degrees
 d_i >= 2 and a constant term b.  The polynomial is recovered exactly by
 formal antidifferentiation of d * prod (z - c_i)^(d_i - 1), so no
-root-finding ever happens.  Given coefficients are checked against the
-polynomial built so from the marks and a_0: it is the only monic centered
-one with that critical data.  Local degrees at disks are computed two
+root-finding ever happens.  Local degrees at disks are computed two
 independent ways (Taylor-coefficient maximum and the Riemann-Hurwitz
 critical count) and the test-suite cross-checks them.  Tameness is
 checked once, when a polynomial is built: no MarkedPolynomial has a local
@@ -150,47 +148,6 @@ def _corner(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> Fraction:
     return Fraction(a[1] - b[1], b[0] - a[0])
 
 
-def _distinct_marks(marks) -> tuple[CriticalMark, ...]:
-    """The marks as CriticalMarks, given as such or as (point, multiplicity);
-    raises InvalidMarks unless they share one backend and are distinct."""
-    marks = tuple(m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks)
-    if any(m.point.backend != marks[0].point.backend for m in marks):
-        raise InvalidMarks("the marks are over different backends")
-    for i, m in enumerate(marks):
-        for m2 in marks[i + 1:]:
-            if m.point == m2.point:
-                raise InvalidMarks(f"coincident marks at {m.point!r}")
-    return marks
-
-
-def _antiderivative(marks, b: Scalar) -> list[Scalar]:
-    """The coefficients a_0..a_d of the monic centered f with
-    f' = d prod (z - c_i)^(d_i - 1) and f(0) = b; InvalidMarks unless there
-    is a mark, b is over the marks' backend and the marks center f."""
-    if not marks:
-        raise InvalidMarks("at least one mark required")
-    backend = marks[0].point.backend
-    if b.backend != backend:
-        raise InvalidMarks("the constant term and the marks are over different backends")
-    zero, one = backend.zero, backend.one
-    weighted = zero
-    for m in marks:
-        weighted = weighted + m.point.scale(m.multiplicity - 1)
-    if not weighted.is_zero:
-        chart = sum((m.point.scale(m.multiplicity) for m in marks), zero)
-        raise InvalidMarks(
-            "marks do not center the antiderivative: "
-            f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"
-        )
-    crit = [one]  # prod (z - c_i)^(d_i - 1), of degree d - 1
-    for m in marks:
-        factor = [-m.point, one]
-        for _ in range(m.multiplicity - 1):
-            crit = poly_mul(crit, factor, zero)
-    d = len(crit)
-    return [b] + [crit[k - 1].scale(Fraction(d, k)) for k in range(1, d + 1)]
-
-
 def _check_tame(marks, backend):
     """Raise NotTame, with a witness disk, when a local degree is divisible
     by the residue characteristic p.  For p = 0 (SeriesT) none is.  Over
@@ -216,7 +173,7 @@ class MarkedPolynomial:
 
     def __init__(self, coeffs: list[Scalar], marks: tuple[CriticalMark, ...]):
         """Stores coefficients and marks as given, checking nothing: callers
-        use `from_critical_data` or `from_coefficients`, which validate."""
+        use `from_critical_data`, which validates."""
         self.coeffs = tuple(coeffs)
         self.marks = marks
         self.backend = coeffs[0].backend
@@ -245,25 +202,35 @@ class MarkedPolynomial:
 
     @classmethod
     def from_critical_data(cls, marks, b: Scalar) -> "MarkedPolynomial":
-        """The unique monic centered f with f' = d prod(z-c_i)^(d_i-1), f(0) = b."""
-        marks = _distinct_marks(marks)
-        coeffs = _antiderivative(marks, b)
-        _check_tame(marks, b.backend)
-        return cls(coeffs, marks)
-
-    @classmethod
-    def from_coefficients(cls, coeffs, marks) -> "MarkedPolynomial":
-        """Coefficients a_0..a_d plus caller-supplied marks, which must be
-        the coefficients `from_critical_data(marks, a_0)` builds."""
-        marks = _distinct_marks(marks)
-        coeffs = list(coeffs)
-        expected = _antiderivative(marks, coeffs[0])
-        if coeffs != expected:
-            k = next((k for k, (a, e) in enumerate(zip(coeffs, expected)) if a != e),
-                     min(len(coeffs), len(expected)))
-            raise InvalidMarks(f"coefficient of degree {k} is not the one the marks and "
-                               "the constant term give")
-        _check_tame(marks, coeffs[0].backend)
+        """The unique monic centered f with f' = d prod (z - c_i)^(d_i - 1), f(0) = b.
+        InvalidMarks unless the marks (CriticalMarks or (point, multiplicity) pairs)
+        are one or more, distinct, over b's backend and center f; NotTame unless f is tame."""
+        marks = tuple(m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks)
+        if not marks:
+            raise InvalidMarks("at least one mark required")
+        backend = b.backend
+        if any(m.point.backend != backend for m in marks):
+            raise InvalidMarks("the marks and the constant term are over different backends")
+        for i, m in enumerate(marks):
+            for m2 in marks[i + 1:]:
+                if m.point == m2.point:
+                    raise InvalidMarks(f"coincident marks at {m.point!r}")
+        zero, one = backend.zero, backend.one
+        weighted = sum((m.point.scale(m.multiplicity - 1) for m in marks), zero)
+        if not weighted.is_zero:
+            chart = sum((m.point.scale(m.multiplicity) for m in marks), zero)
+            raise InvalidMarks(
+                "marks do not center the antiderivative: "
+                f"sum (d_i-1)c_i = {weighted!r} (chart sum d_i c_i = {chart!r})"
+            )
+        crit = [one]  # prod (z - c_i)^(d_i - 1), of degree d - 1
+        for m in marks:
+            factor = [-m.point, one]
+            for _ in range(m.multiplicity - 1):
+                crit = poly_mul(crit, factor, zero)
+        d = len(crit)
+        coeffs = [b] + [crit[k - 1].scale(Fraction(d, k)) for k in range(1, d + 1)]
+        _check_tame(marks, backend)
         return cls(coeffs, marks)
 
     # -- basic evaluation ------------------------------------------------

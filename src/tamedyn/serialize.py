@@ -1,10 +1,15 @@
 """JSON encoding of scalars and exponents, and parsing of polynomial documents.
 
 Every numeric field is an exact rational string ("a/b", "inf"); series
-scalars are sorted (exponent, coefficient) pair lists.  Encoders keep a
-stable field order so reports are byte-identical across runs.  Parsers
-also take a JSON integer for a rational field, and refuse floats, booleans
-and decimal strings with InputError.
+scalars are [exponent, coefficient] lists with strictly increasing
+exponents.  Encoders keep a stable field order so reports are
+byte-identical across runs.  Parsers also take a JSON integer for a
+rational field, and refuse floats, booleans and decimal strings with
+InputError.  Each object has one form, and a missing or unknown field
+raises InputError: a polynomial {"backend", "marks": [mark], "b"}, a mark
+{"c", "mult"}, a backend {"kind": "padic", "p"} or {"kind": "series",
+"precision"} with "ram_den" optional, and raw coefficients {"backend",
+"coeffs": [nonempty]}.
 """
 
 from __future__ import annotations
@@ -91,13 +96,30 @@ def val_str(v) -> str:
     return _rational_str(_as_fraction(v, "an exponent is an int, a Fraction or math.inf"))
 
 
-def backend_from_json(data: dict):
+def _fields(data, what: str, required: tuple, optional: tuple = ()) -> list:
+    """The values of the required fields, in order, when data is a JSON object
+    with each of them and no field but these and the optional ones."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} is a JSON object, not {type(data).__name__}")
     try:
-        kind = data["kind"]
+        values = [data[key] for key in required]
+    except KeyError as exc:
+        raise InputError(f"{what} lacks the field {exc}") from None
+    if len(data) > len(required) and not data.keys() <= {*required, *optional}:
+        raise InputError(f"{what} has the fields {list(data)}, not {[*required, *optional]}")
+    return values
+
+
+def backend_from_json(data: dict):
+    """PAdic(p) or SeriesT(precision, ram_den), with ram_den 1 when it is absent."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    try:
         if kind == "padic":
-            return PAdic(_json_int(data["p"]))
+            _, p = _fields(data, "a p-adic backend", ("kind", "p"))
+            return PAdic(_json_int(p))
         if kind == "series":
-            return SeriesT(_json_rational(data["precision"]), _json_int(data.get("ram_den", 1)))
+            _, precision = _fields(data, "a series backend", ("kind", "precision"), ("ram_den",))
+            return SeriesT(_json_rational(precision), _json_int(data.get("ram_den", 1)))
     except _MALFORMED as exc:
         raise InputError(f"bad backend spec: {exc}") from exc
     raise InputError(f"unknown backend kind: {kind!r}")
@@ -110,6 +132,8 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(backend, data) -> Scalar:
+    """A rational literal, or over SeriesT a list of [exponent, coefficient]
+    terms whose exponents strictly increase, as `scalar_to_json` writes them."""
     try:
         if not isinstance(data, list):
             return backend.scalar(_json_rational(data))
@@ -117,52 +141,30 @@ def scalar_from_json(backend, data) -> Scalar:
             raise InputError("series literal for a p-adic backend")
         if not all(type(term) is list and len(term) == 2 for term in data):
             raise InputError(f"bad scalar literal {data!r}: a term is [exponent, coefficient]")
-        return backend.scalar(terms=[(_json_rational(e), _json_rational(c)) for e, c in data])
+        terms = [(_json_rational(e), _json_rational(c)) for e, c in data]
+        if any(a[0] >= b[0] for a, b in zip(terms, terms[1:])):
+            raise InputError(f"bad scalar literal {data!r}: exponents must strictly increase")
+        return backend.scalar(terms=terms)
     except _MALFORMED as exc:
         raise InputError(f"bad scalar literal {data!r}: {exc}") from exc
 
 
 def polynomial_from_json(data: dict) -> MarkedPolynomial:
-    """Accepts {"backend", "marks", "b"} or {"backend", "coeffs", "marks"},
-    each with an optional "degree".  A document with both "coeffs" and "b",
-    or with neither, raises InputError."""
-    if not isinstance(data, dict):
-        raise InputError(f"a polynomial is a JSON object, not {type(data).__name__}")
-    backend = backend_from_json(data.get("backend", {}))
-    if "coeffs" in data and "b" in data:
-        raise InputError('a polynomial has "coeffs" or "b", not both')
-    try:
-        marks = [
-            CriticalMark(scalar_from_json(backend, m["c"]), _json_int(m["mult"]))
-            for m in data["marks"]
-        ]
-        if "coeffs" in data:
-            coeffs = [scalar_from_json(backend, c) for c in data["coeffs"]]
-        else:
-            b = scalar_from_json(backend, data["b"])
-        degree = _json_int(data["degree"]) if "degree" in data else None
-    except _MALFORMED as exc:
-        raise InputError(f"bad polynomial field: {type(exc).__name__}: {exc}") from exc
-    if "coeffs" in data:
-        if not coeffs:
-            raise InputError("empty coeffs list")
-        f = MarkedPolynomial.from_coefficients(coeffs, marks)
-    else:
-        f = MarkedPolynomial.from_critical_data(marks, b)
-    if degree is not None and degree != f.degree:
-        raise InputError(f"declared degree {degree} does not match computed {f.degree}")
-    return f
+    """`MarkedPolynomial.from_critical_data` of {"backend", "marks": [{"c", "mult"}], "b"}."""
+    spec, marks, b = _fields(data, "a polynomial", ("backend", "marks", "b"))
+    backend = backend_from_json(spec)
+    if type(marks) is not list:
+        raise InputError(f'"marks" is a JSON list, not {marks!r}')
+    marks = [_fields(m, "a mark", ("c", "mult")) for m in marks]
+    return MarkedPolynomial.from_critical_data(
+        [CriticalMark(scalar_from_json(backend, c), _json_int(mult)) for c, mult in marks],
+        scalar_from_json(backend, b))
 
 
 def raw_coefficients_from_json(data: dict) -> list[Scalar]:
-    """Coefficient list for operations that need no critical data."""
-    if not isinstance(data, dict) or "coeffs" not in data:
-        raise InputError("raw polynomial input needs a coeffs list")
-    backend = backend_from_json(data.get("backend", {}))
-    try:
-        coeffs = [scalar_from_json(backend, c) for c in data["coeffs"]]
-    except _MALFORMED as exc:
-        raise InputError(f"bad coeffs list: {exc}") from exc
-    if not coeffs:
-        raise InputError("empty coeffs list")
-    return coeffs
+    """The coefficients a_0..a_d, for operations that need no critical data."""
+    spec, coeffs = _fields(data, "raw coefficients", ("backend", "coeffs"))
+    backend = backend_from_json(spec)
+    if type(coeffs) is not list or not coeffs:
+        raise InputError(f'"coeffs" is a nonempty JSON list, not {coeffs!r}')
+    return [scalar_from_json(backend, c) for c in coeffs]

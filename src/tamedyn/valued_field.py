@@ -556,8 +556,9 @@ def _binomial_series(h: Scalar, alpha: Fraction) -> Scalar:
     Exact division: y = sum_m C(alpha, m) h^m, and h^m has no term below
     index m k0, so y_k takes the terms m <= M.  There C(alpha, m) m! b^m =
     prod_{i<m} (a - i b) and den^m h^m are integral, so every Y_k below the
-    cutoff is an integer, and the sum, k b den Y_k, divides exactly.  E grows
-    with M, not with K, so h of high valuation keeps Y short.
+    cutoff is an integer, and the sum, k b den Y_k, divides exactly.  E, and
+    with it Y_k, has about M log M bits, so Y is short only when k0 is near
+    K: for v(h) = 1/ram_den, M = K - 1 and Y holds K integers of K log K bits.
 
     Same results as sum_m C(alpha, m) h^m summed term by term with each term
     cut at the cutoff: cutting at the cutoff is a ring map on series whose

@@ -62,19 +62,6 @@ class TestFromCriticalData:
         with pytest.raises(InvalidMarks, match=re.escape(f"chart sum d_i c_i = {Q5.scalar(3)!r}")):
             MarkedPolynomial.from_critical_data([(Q5.scalar(1), 3)], Q5.scalar(0))
 
-    def test_mark_roundtrip(self):
-        # re-deriving marks from f' recovers the input marks
-        f = cubic_sym()
-        g = MarkedPolynomial.from_coefficients(f.coeffs, f.marks)
-        assert g.coeffs == f.coeffs
-
-    def test_from_coefficients_verifies(self):
-        f = cubic_sym()
-        with pytest.raises(InvalidMarks):
-            MarkedPolynomial.from_coefficients(
-                f.coeffs, [(Q5.scalar(2), 2), (Q5.scalar(-2), 2)]
-            )
-
     def test_rejects_constant_term_over_another_backend(self):
         with pytest.raises(InvalidMarks):
             MarkedPolynomial.from_critical_data(
@@ -87,10 +74,6 @@ class TestFromCriticalData:
                 [(Q3.scalar(1), 2), (Q5.scalar(-1), 2)], Q3.zero
             )
 
-    def test_rejects_marks_over_another_backend_than_the_coefficients(self):
-        with pytest.raises(InvalidMarks):
-            MarkedPolynomial.from_coefficients(quad_third().coeffs, [(Q5.scalar(0), 2)])
-
     def test_builds_the_derivative_once(self, monkeypatch):
         # one product per factor (z - c_i) of f'; the coefficients are
         # integrated from it, so nothing rebuilds it to check them
@@ -100,32 +83,6 @@ class TestFromCriticalData:
                             lambda *args: calls.append(1) or original(*args))
         assert [c.rational for c in cubic_sym().coeffs] == [0, -3, 0, 1]
         assert len(calls) == 2
-
-
-def _q5(*values):
-    return [Q5.scalar(v) for v in values]
-
-
-# each case is one check the comparison with the rebuilt polynomial makes
-MALFORMED_COEFFICIENTS = {
-    "not monic": (_q5(0, -3, 0, 2), [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], "degree 3"),
-    "not centered": (_q5(0, -3, 1, 1), [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], "degree 2"),
-    "degree too low": (_q5(1, 1), [(Q5.scalar(0), 2)], "degree 1"),
-    "multiplicities do not sum to d - 1": (_q5(0, 0, 1), [(Q5.scalar(0), 3)], "degree 2"),
-    "wrong marks": (_q5(0, -3, 0, 1), [(Q5.scalar(2), 2), (Q5.scalar(-2), 2)], "degree 1"),
-    "marks over another backend": ([Q3.scalar(v) for v in (F(-1, 3), 0, 1)],
-                                   [(Q5.scalar(0), 2)], "different backends"),
-    # marks +-1 are wild over PAdic(3), but z^3 + 5 is not their polynomial
-    "malformed and wild": ([Q3.scalar(v) for v in (5, 0, 0, 1)],
-                           [(Q3.scalar(1), 2), (Q3.scalar(-1), 2)], "degree 1"),
-}
-
-
-@pytest.mark.parametrize("coeffs, marks, message", MALFORMED_COEFFICIENTS.values(),
-                         ids=MALFORMED_COEFFICIENTS.keys())
-def test_from_coefficients_refuses(coeffs, marks, message):
-    with pytest.raises(InvalidMarks, match=message):
-        MarkedPolynomial.from_coefficients(coeffs, marks)
 
 
 class TestBasePoint:
@@ -221,12 +178,6 @@ class TestTameness:
             [(qt.scalar(1), 2), (qt.scalar(-1), 2)], qt.scalar(0)
         )
         assert f.degree == 3
-
-    def test_wild_coefficients(self):
-        coeffs = [Q3.scalar(c) for c in (5, -3, 0, 1)]  # z^3 - 3z + 5
-        with pytest.raises(NotTame, match="local degree 3 divisible") as err:
-            MarkedPolynomial.from_coefficients(coeffs, WILD_CUBIC_MARKS)
-        assert err.value.witness == WILD_CUBIC_WITNESS
 
     def test_wild_document(self):
         doc = {"backend": {"kind": "padic", "p": 3},
