@@ -7,21 +7,13 @@ rationals with the t-adic valuation.  Every quantity is an exact rational
 or an exact field element; the one float is math.inf, the valuation of 0.
 """
 
-from tamedyn.valued_field import PAdic, SeriesT, Scalar, Val, nth_root_unit
-from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist, join
+from tamedyn.valued_field import PAdic, SeriesT, Scalar
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial
 
 __all__ = [
     "PAdic",
     "SeriesT",
     "Scalar",
-    "Val",
-    "nth_root_unit",
-    "BerkPoint",
-    "Comparison",
-    "compare",
-    "join",
-    "hyp_dist",
     "CriticalMark",
     "MarkedPolynomial",
 ]

@@ -1,4 +1,4 @@
-"""Points of the Berkovich affine line of types I-III and their tree geometry.
+"""Points of the Berkovich affine line of types I-III.
 
 A point is a closed disk D(a, r) in the field, stored as its center and
 the exponent q with r = base^(-q), a ``Val`` built from a plain exponent
@@ -6,16 +6,18 @@ the exponent q with r = base^(-q), a ``Val`` built from a plain exponent
 i.e. a classical (type I) point.  Type IV points are unrepresentable by
 design; the algorithms in this package never need them.
 
-The partial order is disk containment, the join is the smallest disk
-containing both arguments, and the hyperbolic metric on non-classical
-points is measured in backend log units (one unit = log p for PAdic,
-= 1 for SeriesT), stored as exact rationals.
+The module is kept for the partial order by disk containment, which the
+core tree's parent search reads through ``compare``, and for the equality,
+order and hyperbolic distance that the tree checks of ``bench/checks.py``
+read.  Distances are exact rationals in backend log units (one unit = log p
+for PAdic, = 1 for SeriesT).  Points over different backends are never
+equal, and ``compare`` and ``hyp_dist`` raise TypeError("mixed backends")
+on them when they subtract the centers.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 
 from tamedyn.errors import TypeIPoint
@@ -38,33 +40,12 @@ class BerkPoint:
         self.center = center
         self.radius_exp = radius_exp if isinstance(radius_exp, Val) else Val(radius_exp)
 
-    @classmethod
-    def classical(cls, center: Scalar) -> "BerkPoint":
-        return cls(center, math.inf)
-
-    @property
-    def backend(self):
-        return self.center.backend
-
-    @property
-    def is_classical(self) -> bool:
-        return self.radius_exp.is_infinite
-
-    def contains_scalar(self, b: Scalar) -> bool:
-        """Whether the classical point b lies in the closed disk."""
-        return Val((b - self.center).valuation()) >= self.radius_exp
-
     def __eq__(self, other):
         if not isinstance(other, BerkPoint):
             return NotImplemented
-        if self.backend != other.backend or self.radius_exp != other.radius_exp:
+        if self.center.backend != other.center.backend or self.radius_exp != other.radius_exp:
             return False
         return Val((self.center - other.center).valuation()) >= self.radius_exp
-
-    def __hash__(self):
-        # Equal points may carry different centers; hash only the backend
-        # and radius data (trees here are small, collisions are harmless).
-        return hash((self.backend, self.radius_exp))
 
     def __repr__(self):
         return f"BerkPoint({self.center!r}, exp={self.radius_exp})"
@@ -76,8 +57,6 @@ def compare(x: BerkPoint, y: BerkPoint) -> Comparison:
     x < y iff the disk of x is strictly contained in the disk of y,
     i.e. radius_exp(x) >= radius_exp(y) and the centers agree at scale y.
     """
-    if x.backend != y.backend:
-        raise TypeError("mixed backends")
     centers = Val((x.center - y.center).valuation())
     if x.radius_exp >= y.radius_exp and centers >= y.radius_exp:
         return Comparison.EQUAL if x.radius_exp == y.radius_exp else Comparison.LESS
@@ -86,21 +65,13 @@ def compare(x: BerkPoint, y: BerkPoint) -> Comparison:
     return Comparison.INCOMPARABLE
 
 
-def join(x: BerkPoint, y: BerkPoint) -> BerkPoint:
-    """Least upper bound: the smallest disk containing both."""
-    if x.backend != y.backend:
-        raise TypeError("mixed backends")
-    q = min(x.radius_exp, y.radius_exp, Val((x.center - y.center).valuation()))
-    return BerkPoint(x.center, q)
-
-
 def hyp_dist(x: BerkPoint, y: BerkPoint) -> Fraction:
     """Hyperbolic distance in backend log units (exact rational).
 
-    Both points must be of type II/III; distance is additive along the
-    path through the join.
+    Both points must be of type II/III; the path runs through the smallest
+    disk containing both.
     """
     if x.radius_exp.is_infinite or y.radius_exp.is_infinite:
         raise TypeIPoint("hyperbolic distance needs non-classical points")
-    j = join(x, y)
-    return x.radius_exp.finite + y.radius_exp.finite - 2 * j.radius_exp.finite
+    q = min(x.radius_exp, y.radius_exp, Val((x.center - y.center).valuation()))
+    return x.radius_exp.finite + y.radius_exp.finite - 2 * q.finite

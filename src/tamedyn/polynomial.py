@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import (PAdic, Rat, Scalar, coprime_fraction, int_valuation,
+from tamedyn.valued_field import (PAdic, Rat, Scalar, Val, coprime_fraction, int_valuation,
                                   valuation_table)
 
 
@@ -73,6 +73,8 @@ class CriticalMark:
     multiplicity: int
 
     def __post_init__(self):
+        if isinstance(self.multiplicity, bool) or not isinstance(self.multiplicity, int):
+            raise TypeError(f"multiplicity must be an int, not {self.multiplicity!r}")
         if self.multiplicity < 2:
             raise InvalidMarks("mark multiplicity must be >= 2")
 
@@ -288,9 +290,9 @@ class MarkedPolynomial:
         """Image disk and local degree at x, from Taylor data at the center."""
         taylor = self.taylor_at(x.center)
         fa = taylor[0]
-        if x.is_classical:
+        if x.radius_exp.is_infinite:
             deg = next(k for k in range(1, len(taylor)) if not taylor[k].is_zero)
-            return BerkPoint.classical(fa), deg
+            return BerkPoint(fa, math.inf), deg
         q = x.radius_exp.finite
         candidates = [(taylor[k].valuation() + k * q, k)
                       for k in range(1, len(taylor)) if not taylor[k].is_zero]
@@ -302,7 +304,7 @@ class MarkedPolynomial:
         """Riemann-Hurwitz count: 1 + sum of (d_i - 1) over marks in the disk."""
         total = 1
         for m in self.marks:
-            if x.contains_scalar(m.point):
+            if Val((m.point - x.center).valuation()) >= x.radius_exp:
                 total += m.multiplicity - 1
         return total
 

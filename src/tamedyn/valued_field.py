@@ -169,9 +169,6 @@ class Val:
             return True
         return self._q < other._q
 
-    def __hash__(self):
-        return hash(self._q)
-
     def __repr__(self):
         return "Val(inf)" if self._q is None else f"Val({self._q})"
 
@@ -598,11 +595,6 @@ def _padic_nth_root_unit(u: Scalar, n: int, precision: int) -> Scalar:
     return backend.scalar(pow(residue(u.rational, m), pow(n, -1, p ** (K - 1)), m))
 
 
-def _series_nth_root_unit(h: Scalar, n: int) -> Scalar:
-    """The n-th root of the 1-unit 1 + h."""
-    return _binomial_series(h, Fraction(1, n))
-
-
 def nth_root_unit(u: Scalar, n: int, precision: Rat) -> Scalar:
     """The unique w with w^n = u and valuation(w - 1) > 0.
 
@@ -611,6 +603,8 @@ def nth_root_unit(u: Scalar, n: int, precision: Rat) -> Scalar:
     over SeriesT it is exact up to the cutoff, whatever the precision.
     Raises RootUnavailable when the residue characteristic divides n.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"root index must be an int, not {n!r}")
     if n < 1:
         raise ValueError("root index must be >= 1")
     backend = u.backend
@@ -629,4 +623,4 @@ def nth_root_unit(u: Scalar, n: int, precision: Rat) -> Scalar:
         return u
     if padic:
         return _padic_nth_root_unit(u, n, math.ceil(_as_fraction(precision)))
-    return _series_nth_root_unit(h, n)
+    return _binomial_series(h, Fraction(1, n))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist, join
+from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
 from tamedyn.errors import TypeIPoint
-from tamedyn.valued_field import PAdic
+from tamedyn.valued_field import PAdic, SeriesT
 
 Q3 = PAdic(3)
 
@@ -17,8 +17,8 @@ def pt(center, exp):
     return BerkPoint(Q3.scalar(center), exp)
 
 
-def classical(center):
-    return BerkPoint.classical(Q3.scalar(center))
+def type_one(center):
+    return BerkPoint(Q3.scalar(center), math.inf)
 
 
 GAUSS = BerkPoint(Q3.zero, 0)
@@ -29,7 +29,7 @@ class TestTypes:
         # same closed disk under a different center
         assert pt(0, 1) == pt(3, 1)
         assert pt(0, 1) != pt(1, 1)
-        assert classical(2) != classical(5)
+        assert type_one(2) != type_one(5)
 
 
 class TestCompare:
@@ -46,18 +46,7 @@ class TestCompare:
         assert compare(pt(0, 1), pt(1, 1)) is Comparison.INCOMPARABLE
 
     def test_classical_inside(self):
-        assert compare(classical(3), pt(0, 1)) is Comparison.LESS
-
-
-class TestJoin:
-    def test_classical_points(self):
-        assert join(classical(0), classical(1)) == GAUSS
-        assert join(classical(0), classical(3)) == pt(0, 1)
-
-    def test_idempotent_commutative(self):
-        x, y = pt(1, 2), pt(4, 3)
-        assert join(x, x) == x
-        assert join(x, y) == join(y, x)
+        assert compare(type_one(3), pt(0, 1)) is Comparison.LESS
 
 
 class TestHypDist:
@@ -73,7 +62,7 @@ class TestHypDist:
 
     def test_rejects_classical(self):
         with pytest.raises(TypeIPoint):
-            hyp_dist(classical(0), GAUSS)
+            hyp_dist(type_one(0), GAUSS)
 
 
 small_fractions = st.fractions(max_denominator=9)
@@ -86,7 +75,7 @@ def points(draw):
 
 
 @st.composite
-def points_or_classical(draw):
+def points_or_type_one(draw):
     """Points of few radii (classical ones among them) around centers that
     often agree to a high power of 3."""
     center = draw(st.sampled_from([0, 1, 3, 9, 27, Fraction(1, 3), Fraction(10, 3)]))
@@ -96,15 +85,12 @@ def points_or_classical(draw):
 class TestOrderJoinConsistency:
     @given(x=points(), y=points())
     @settings(max_examples=120)
-    def test_less_iff_join_is_upper(self, x, y):
-        rel = compare(x, y)
-        j = join(x, y)
-        if rel is Comparison.LESS:
-            assert j == y and x != y
-        if j == y and x != y:
-            assert rel is Comparison.LESS
+    def test_less_iff_distance_is_the_drop_in_exponent(self, x, y):
+        # x < y exactly when y is the smallest disk containing both
+        drop = x.radius_exp.finite - y.radius_exp.finite
+        assert (compare(x, y) is Comparison.LESS) == (x != y and hyp_dist(x, y) == drop)
 
-    @given(x=points_or_classical(), y=points_or_classical())
+    @given(x=points_or_type_one(), y=points_or_type_one())
     @settings(max_examples=200)
     def test_compare_agrees_with_equality_and_is_antisymmetric(self, x, y):
         rel, back = compare(x, y), compare(y, x)
@@ -114,16 +100,21 @@ class TestOrderJoinConsistency:
 
     @given(x=points(), y=points(), z=points())
     @settings(max_examples=120)
-    def test_join_laws(self, x, y, z):
-        assert join(x, join(y, z)) == join(join(x, y), z)
-        assert join(x, y) == join(y, x)
-        assert join(x, x) == x
-
-    @given(x=points(), y=points(), z=points())
-    @settings(max_examples=120)
     def test_triangle_inequality(self, x, y, z):
         assert hyp_dist(x, z) <= hyp_dist(x, y) + hyp_dist(y, z)
 
     def test_collinear_equality(self):
         x, y, z = pt(0, 3), pt(0, 2), pt(0, -1)
         assert hyp_dist(x, z) == hyp_dist(x, y) + hyp_dist(y, z)
+
+
+@pytest.mark.parametrize("x, y", [
+    (BerkPoint(PAdic(3).zero, 0), BerkPoint(PAdic(5).zero, 0)),
+    (BerkPoint(PAdic(3).zero, 0), BerkPoint(SeriesT(8).zero, 0)),
+    (BerkPoint(SeriesT(8).zero, 0), BerkPoint(PAdic(3).zero, 0)),
+], ids=["padic3-padic5", "padic-series", "series-padic"])
+def test_mixed_backends(x, y):
+    for op in (compare, hyp_dist):
+        with pytest.raises(TypeError, match="^mixed backends$"):
+            op(x, y)
+    assert x != y

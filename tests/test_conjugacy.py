@@ -175,7 +175,7 @@ PASS_PAIRS = {
     "padic": (lambda: cubic5(BASELINE[0], BASELINE[1]),
               lambda: cubic5(BASELINE[0], BASELINE[1] + 5 ** 4), "_padic_nth_root_unit"),
     "series": (lambda: series_cubic("40", -4), lambda: series_cubic("40", -4),
-               "_series_nth_root_unit"),
+               "_binomial_series"),
 }
 
 

@@ -11,7 +11,7 @@ from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
 from tamedyn.polynomial import CriticalMark, MarkedPolynomial, PiecewiseMonomial, poly_eval
 from tamedyn.serialize import polynomial_from_json
-from tamedyn.valued_field import PAdic, SeriesT, Val, coprime_fraction
+from tamedyn.valued_field import PAdic, SeriesT, Val, coprime_fraction, nth_root_unit
 
 from test_golden import _series_cubic
 
@@ -85,6 +85,28 @@ class TestFromCriticalData:
         assert len(calls) == 2
 
 
+# a multiplicity or root index that is not an int is refused up front by a
+# TypeError that names it, before a float, a bool or a string reaches arithmetic
+NON_INT_ARGUMENTS = {
+    "float multiplicity": (lambda: CriticalMark(Q5.scalar(1), 3.0), "multiplicity"),
+    "string multiplicity": (lambda: CriticalMark(Q5.scalar(1), "3"), "multiplicity"),
+    "bool multiplicity": (lambda: CriticalMark(Q5.scalar(1), True), "multiplicity"),
+    "float multiplicity in a pair": (lambda: MarkedPolynomial.from_critical_data(
+        [(Q5.scalar(1), 2.0), (Q5.scalar(-1), 2)], Q5.zero), "multiplicity"),
+    "bool root index": (lambda: nth_root_unit(Q3.scalar(4), True, 10), "root index"),
+    "float root index": (lambda: nth_root_unit(Q3.scalar(4), 2.0, 10), "root index"),
+    "float root index over SeriesT": (lambda: nth_root_unit(
+        SeriesT(8).scalar(terms=[(0, 1), (1, 1)]), 2.0, 8), "root index"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(NON_INT_ARGUMENTS))
+def test_non_int_multiplicity_or_root_index_is_refused(row):
+    build, name = NON_INT_ARGUMENTS[row]
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
+        build()
+
+
 class TestBasePoint:
     def test_type_iii_base(self):
         f = quad_third()
@@ -116,13 +138,13 @@ class TestImagePoint:
 
     def test_classical_critical(self):
         f = quad_third()
-        img, deg = f.image_point(BerkPoint.classical(Q3.scalar(0)))
-        assert img == BerkPoint.classical(Q3.scalar(F(-1, 3)))
+        img, deg = f.image_point(BerkPoint(Q3.scalar(0), math.inf))
+        assert img == BerkPoint(Q3.scalar(F(-1, 3)), math.inf)
         assert deg == 2
 
     def test_classical_regular(self):
         f = quad_third()
-        _, deg = f.image_point(BerkPoint.classical(Q3.scalar(1)))
+        _, deg = f.image_point(BerkPoint(Q3.scalar(1), math.inf))
         assert deg == 1
 
 
@@ -164,7 +186,7 @@ class TestTameness:
     def test_square_over_2_is_wild(self):
         with pytest.raises(NotTame, match="local degree 2 divisible") as err:
             MarkedPolynomial.from_critical_data([(Q2.scalar(0), 2)], Q2.scalar(0))
-        assert err.value.witness == BerkPoint.classical(Q2.scalar(0))
+        assert err.value.witness == BerkPoint(Q2.scalar(0), math.inf)
 
     def test_cubic_over_3_is_wild(self):
         # the pair cluster realizes degree 3 at the join
