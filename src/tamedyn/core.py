@@ -92,7 +92,7 @@ from tamedyn import escape
 from tamedyn.escape import Escaping, Unknown, classify_critical
 from tamedyn.polynomial import MarkedPolynomial, escaped_ray_map
 from tamedyn.serialize import scalar_to_json, val_str
-from tamedyn.valued_field import Rat, Scalar, _as_fraction, valuation_table
+from tamedyn.valued_field import Rat, Scalar, _as_fraction, _as_int, valuation_table
 
 DEFAULT_DEPTH = 3
 
@@ -165,9 +165,7 @@ def check_rho(rho) -> None:
 
 def check_depth(depth) -> None:
     """Raise TypeError unless depth is an int (not a bool), ValueError if < 0."""
-    if isinstance(depth, bool) or not isinstance(depth, int):
-        raise TypeError(f"depth must be an int, not {depth!r}")
-    if depth < 0:
+    if _as_int(depth, "depth") < 0:
         raise ValueError(f"depth must be >= 0, not {depth}")
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from tamedyn.berkovich import BerkPoint
 from tamedyn.errors import InvalidMarks, NotTame
-from tamedyn.valued_field import (PAdic, Rat, Scalar, Val, coprime_fraction, int_valuation,
-                                  valuation_table)
+from tamedyn.valued_field import (PAdic, Rat, Scalar, _as_int, coprime_fraction,
+                                  int_valuation, valuation_table)
 
 
 # -- dense polynomial helpers over Scalar (ascending coefficients) -----
@@ -73,9 +73,9 @@ class CriticalMark:
     multiplicity: int
 
     def __post_init__(self):
-        if isinstance(self.multiplicity, bool) or not isinstance(self.multiplicity, int):
-            raise TypeError(f"multiplicity must be an int, not {self.multiplicity!r}")
-        if self.multiplicity < 2:
+        if not isinstance(self.point, Scalar):
+            raise TypeError(f"point must be a Scalar, not {self.point!r}")
+        if _as_int(self.multiplicity, "multiplicity") < 2:
             raise InvalidMarks("mark multiplicity must be >= 2")
 
 
@@ -206,10 +206,13 @@ class MarkedPolynomial:
     def from_critical_data(cls, marks, b: Scalar) -> "MarkedPolynomial":
         """The unique monic centered f with f' = d prod (z - c_i)^(d_i - 1), f(0) = b.
         InvalidMarks unless the marks (CriticalMarks or (point, multiplicity) pairs)
-        are one or more, distinct, over b's backend and center f; NotTame unless f is tame."""
+        are one or more, distinct, over b's backend and center f; NotTame unless f is tame;
+        TypeError when a point or b is not a Scalar, or a multiplicity not an int."""
         marks = tuple(m if isinstance(m, CriticalMark) else CriticalMark(m[0], m[1]) for m in marks)
         if not marks:
             raise InvalidMarks("at least one mark required")
+        if not isinstance(b, Scalar):
+            raise TypeError(f"b must be a Scalar, not {b!r}")
         backend = b.backend
         if any(m.point.backend != backend for m in marks):
             raise InvalidMarks("the marks and the constant term are over different backends")
@@ -290,10 +293,10 @@ class MarkedPolynomial:
         """Image disk and local degree at x, from Taylor data at the center."""
         taylor = self.taylor_at(x.center)
         fa = taylor[0]
-        if x.radius_exp.is_infinite:
+        q = x.exponent
+        if q == math.inf:
             deg = next(k for k in range(1, len(taylor)) if not taylor[k].is_zero)
-            return BerkPoint(fa, math.inf), deg
-        q = x.radius_exp.finite
+            return BerkPoint(fa, q), deg
         candidates = [(taylor[k].valuation() + k * q, k)
                       for k in range(1, len(taylor)) if not taylor[k].is_zero]
         best = min(c for c, _ in candidates)
@@ -304,7 +307,7 @@ class MarkedPolynomial:
         """Riemann-Hurwitz count: 1 + sum of (d_i - 1) over marks in the disk."""
         total = 1
         for m in self.marks:
-            if Val((m.point - x.center).valuation()) >= x.radius_exp:
+            if (m.point - x.center).valuation() >= x.exponent:
                 total += m.multiplicity - 1
         return total
 

@@ -27,7 +27,7 @@ float nan, not an error, so no exponent is computed from two infinite
 ones: ``rho_closeness`` skips a difference at or above its precision,
 ``phi_eval`` refuses a point with v(z) >= base, a Hensel lift returns once
 its residual reaches the target, and every tree exponent is finite.
-:class:`Val` wraps an exponent only as a ``BerkPoint``'s radius.
+:class:`Val` is only the ``BerkPoint`` radius view of ``bench/checks.py``.
 ``residue`` is the one reduction of a p-adic scalar mod p^K, and
 ``valuation_table`` the one table of pairwise valuations v(x - y), over
 either backend: the core tree's vertices and the tameness check read it.
@@ -35,7 +35,6 @@ either backend: the core tree's vertices and the tameness check read it.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -58,6 +57,13 @@ def _as_fraction(x, lead: str = "expected an int or a Fraction") -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"{lead}, not {x!r}")
+
+
+def _as_int(x, what: str) -> int:
+    """x, unless it is not an int or is a bool: TypeError naming `what` then."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} must be an int, not {x!r}")
+    return x
 
 
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
@@ -130,50 +136,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@functools.total_ordering
 class Val:
-    """The radius exponent of a ``BerkPoint``: an exact rational, or infinity
-    for a classical point.
+    """A ``BerkPoint``'s exponent as ``bench/checks.py`` reads it, with no order
+    and no arithmetic: ``finite`` is a Fraction, so a midpoint of two is exact."""
 
-    Built from a plain exponent (an int, a Fraction or ``math.inf``) and
-    ordered with infinity as the unique maximum.  It has no arithmetic:
-    exponents are computed as plain numbers (module docstring).
-    """
-
-    __slots__ = ("_q",)
+    __slots__ = ("q",)
 
     def __init__(self, q: Rat | float):
-        self._q = None if q == math.inf else _as_fraction(q)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._q is None
+        if q != math.inf:
+            _as_fraction(q)
+        self.q = q
 
     @property
     def finite(self) -> Fraction:
-        if self._q is None:
+        if self.q == math.inf:
             raise ValueError("infinite valuation has no finite value")
-        return self._q
-
-    def __eq__(self, other):
-        if not isinstance(other, Val):
-            return NotImplemented
-        return self._q == other._q
-
-    def __lt__(self, other):
-        if not isinstance(other, Val):
-            return NotImplemented
-        if self._q is None:
-            return False
-        if other._q is None:
-            return True
-        return self._q < other._q
-
-    def __repr__(self):
-        return "Val(inf)" if self._q is None else f"Val({self._q})"
-
-    def __str__(self):
-        return "inf" if self._q is None else str(self._q)
+        return _as_fraction(self.q)
 
 
 class PAdic:
@@ -182,9 +160,7 @@ class PAdic:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise TypeError(f"p must be an int, not {p!r}")
-        if not is_prime(p):
+        if not is_prime(_as_int(p, "p")):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -222,9 +198,7 @@ class SeriesT:
         precision = _as_fraction(precision)
         if precision <= 0:
             raise ValueError("precision cutoff must be positive")
-        if isinstance(ram_den, bool) or not isinstance(ram_den, int):
-            raise TypeError(f"ram_den must be an int, not {ram_den!r}")
-        if ram_den < 1:
+        if _as_int(ram_den, "ram_den") < 1:
             raise ValueError("ramification denominator must be >= 1")
         self.precision = precision
         self.ram_den = ram_den
@@ -603,9 +577,7 @@ def nth_root_unit(u: Scalar, n: int, precision: Rat) -> Scalar:
     over SeriesT it is exact up to the cutoff, whatever the precision.
     Raises RootUnavailable when the residue characteristic divides n.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"root index must be an int, not {n!r}")
-    if n < 1:
+    if _as_int(n, "root index") < 1:
         raise ValueError("root index must be >= 1")
     backend = u.backend
     padic = isinstance(backend, PAdic)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tamedyn.berkovich import BerkPoint, Comparison, compare, hyp_dist
 from tamedyn.errors import TypeIPoint
-from tamedyn.valued_field import PAdic, SeriesT
+from tamedyn.valued_field import PAdic, SeriesT, Val
 
 Q3 = PAdic(3)
 
@@ -30,6 +30,19 @@ class TestTypes:
         assert pt(0, 1) == pt(3, 1)
         assert pt(0, 1) != pt(1, 1)
         assert type_one(2) != type_one(5)
+
+
+def test_the_radius_view_that_bench_checks_reads():
+    # bench/checks.py builds BerkPoint(c, Val(mid)) from (a + b) / 2 on `.finite`
+    c = Q3.scalar(2)
+    for q in (3, Fraction(-1, 2), math.inf):
+        assert BerkPoint(c, Val(q)) == BerkPoint(c, q)
+    assert type(BerkPoint(c, 3).radius_exp.finite) is Fraction
+    with pytest.raises(ValueError):
+        Val(math.inf).finite
+    for q in (0.5, True):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            BerkPoint(c, q)
 
 
 class TestCompare:
@@ -87,7 +100,7 @@ class TestOrderJoinConsistency:
     @settings(max_examples=120)
     def test_less_iff_distance_is_the_drop_in_exponent(self, x, y):
         # x < y exactly when y is the smallest disk containing both
-        drop = x.radius_exp.finite - y.radius_exp.finite
+        drop = x.exponent - y.exponent
         assert (compare(x, y) is Comparison.LESS) == (x != y and hyp_dist(x, y) == drop)
 
     @given(x=points_or_type_one(), y=points_or_type_one())

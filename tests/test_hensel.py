@@ -189,6 +189,8 @@ def test_drawn_lifts_contract_and_certify(case):
     rs = [step.residual_valuation for step in res.iterations]
     for a, b in zip(rs, rs[1:]):
         assert b > a + res.mu
+        # Newton doubling: f'(z_n) is a unit and z_n and the coefficients are integral
+        assert b >= 2 * a
     assert res.certified_valuation >= target
     zero = fc[0].backend.zero
     assert (poly_eval(fc, res.value, zero) - poly_eval(gc, x, zero)).valuation() >= target

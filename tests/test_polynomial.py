@@ -107,6 +107,24 @@ def test_non_int_multiplicity_or_root_index_is_refused(row):
         build()
 
 
+# a mark point or constant term that is not a Scalar is refused by a TypeError
+# that names it, before the backend check reads its `.backend`
+NON_SCALAR_ARGUMENTS = {
+    "int point": (lambda: CriticalMark(3, 2), "point"),
+    "int point in a pair": (lambda: MarkedPolynomial.from_critical_data(
+        [(1, 2), (Q5.scalar(-1), 2)], Q5.zero), "point"),
+    "int constant term": (lambda: MarkedPolynomial.from_critical_data(
+        [(Q5.scalar(1), 2), (Q5.scalar(-1), 2)], 0), "b"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(NON_SCALAR_ARGUMENTS))
+def test_non_scalar_point_or_constant_term_is_refused(row):
+    build, name = NON_SCALAR_ARGUMENTS[row]
+    with pytest.raises(TypeError, match=f"^{name} must be a Scalar, not "):
+        build()
+
+
 class TestBasePoint:
     def test_type_iii_base(self):
         f = quad_third()
@@ -272,7 +290,7 @@ class TestSegmentDynamics:
         assert seg.lines == ((2, F(0)),)
         assert seg.image_exp(F(-1, 2)) == F(-1)
         img, _ = f.image_point(BerkPoint(Q3.scalar(0), F(-1, 2)))
-        assert img.radius_exp == Val(-1)
+        assert img.exponent == -1
 
     def test_pure_square(self):
         f = MarkedPolynomial.from_critical_data([(Q3.scalar(0), 2)], Q3.scalar(0))
@@ -299,7 +317,7 @@ class TestSegmentDynamics:
         seg = f.segment_dynamics(Q5.scalar(1))
         for q in (F(-3), F(-1, 2), F(0), F(1), F(7, 2)):
             img, deg = f.image_point(BerkPoint(Q5.scalar(1), q))
-            assert img.radius_exp == Val(seg.image_exp(q))
+            assert img.exponent == seg.image_exp(q)
             assert deg == _degree(seg, q)
 
 
@@ -492,7 +510,7 @@ class TestExpansionLaw:
         for q in (F(-1), F(-3, 4), F(-2)):
             x = BerkPoint(Q3.scalar(0), q)
             img, _ = f.image_point(x)
-            assert img.radius_exp == Val(2 * q)
+            assert img.exponent == 2 * q
 
 
 # marks -> critical data of a monic centered polynomial: sum (d_i - 1) c_i = 0

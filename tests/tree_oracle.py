@@ -107,8 +107,8 @@ def oracle_tree(f, rho, depth) -> OracleTree:
         (c, q), witnesses = found[k]
         if any(n < exits[i] + fwd for i, n in witnesses):
             image, _ = f.image_point(BerkPoint(c, q))
-            if image.radius_exp.finite >= top:
-                images[k] = (image.center, image.radius_exp.finite)
+            if image.exponent >= top:
+                images[k] = (image.center, image.exponent)
                 add(images[k])
         for j, n in witnesses:
             if n > 0:
